@@ -84,7 +84,7 @@ class _Instance:
     the per-variable boxes are dropped.
     """
 
-    __slots__ = ("keys", "lna", "hi", "theta_one", "constraints",
+    __slots__ = ("keys", "lna", "vlna", "hi", "theta_one", "constraints",
                  "cons_of_var", "V", "q")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
@@ -103,9 +103,7 @@ class _Instance:
         self.keys = keys
         n = len(keys)
 
-        self.lna = []
-        self.hi = []
-        self.theta_one = []
+        self.lna, self.vlna, self.hi, self.theta_one = [], [], [], []
         node_members: dict[int, list[int]] = {}
         edge_members: dict[int, list[int]] = {}
         edges = graph.edges
@@ -117,6 +115,7 @@ class _Instance:
             lna = log_fail[eid]
             box = float(min(w_caps[eid], q_caps[e.u], q_caps[e.v]))
             self.lna.append(lna)
+            self.vlna.append(self.V * lna)
             self.hi.append(box)
             # Price above which the unclamped stationary point drops to 1.
             a = 1.0 - p_edge[eid]
@@ -159,56 +158,60 @@ class _Instance:
 
     # -- relaxed program ----------------------------------------------------
 
-    def _xstar(self, i: int, theta: float) -> float:
-        """Box-clamped maximizer of ``V*ln(1-a^x) - theta*x`` over [1, hi]."""
-        if theta <= 0.0:
-            return self.hi[i]
-        lna = self.lna[i]
-        y = theta / (theta - self.V * lna)
-        x = math.log(y) / lna
-        if x < 1.0:
-            return 1.0
-        if x > self.hi[i]:
-            return self.hi[i]
-        return x
+    def _load(self, members: Sequence[int], theta: list[float], shift: float,
+              x: list[float], slope: list[float]) -> tuple[float, float]:
+        """Load of a constraint and its derivative in the shared price shift.
 
-    def _log_p(self, i: int, x: float) -> float:
-        return math.log(-math.expm1(x * self.lna[i]))
+        Writes each member's box-clamped maximizer of ``V*ln(1-a^x) - th*x``
+        at ``th = theta + shift`` to ``x`` and its derivative in ``th`` to
+        ``slope``: zero when clamped, ``-V / (th * (th - V * lna))`` inside.
+        """
+        minus_v, lna_all, vlna_all, hi_all = -self.V, self.lna, self.vlna, self.hi
+        log = math.log
+        load = total = 0.0
+        for i in members:
+            th = theta[i] + shift
+            xi = hi_all[i]
+            si = 0.0
+            if th > 0.0:
+                d = th - vlna_all[i]
+                xi = log(th / d) / lna_all[i]
+                if xi <= 1.0:
+                    xi = 1.0
+                elif xi >= hi_all[i]:
+                    xi = hi_all[i]
+                else:
+                    si = minus_v / (th * d)
+                    total += si
+            x[i] = xi
+            slope[i] = si
+            load += xi
+        return load, total
 
-    def objective(self, x: Sequence[float]) -> float:
-        V, q, lna = self.V, self.q, self.lna
+    def _value(self, x: Sequence[float], theta: Sequence[float]) -> tuple[float, float]:
+        """Objective ``V*sum(ln P(x)) - q*sum(x)`` at ``x``, and that minus
+        ``sum((theta - q) * x)``: the Lagrangian's per-variable part."""
+        V, lna_all, q = self.V, self.lna, self.q
         log, expm1 = math.log, math.expm1
-        total = 0.0
+        common = price_term = cost_term = 0.0
         for i, xi in enumerate(x):
-            total += V * log(-expm1(xi * lna[i])) - q * xi
-        return total
+            common += V * log(-expm1(xi * lna_all[i]))
+            price_term += (theta[i] - q) * xi
+            cost_term += xi
+        f = common - q * cost_term
+        return f, f - price_term
 
-    def _dual_value(self, x: list[float], theta: list[float],
-                    nu: list[float]) -> float:
-        V, lna = self.V, self.lna
-        log, expm1 = math.log, math.expm1
-        val = 0.0
-        for i, xi in enumerate(x):
-            val += V * log(-expm1(xi * lna[i])) - theta[i] * xi
-        for nu_c, (_, cap) in zip(nu, self.constraints):
-            val += nu_c * cap
-        return val
-
-    def project_feasible(self, x: list[float]) -> list[float]:
-        """Scale the variables of overloaded constraints toward 1.
+    def _project(self, x: list[float]) -> tuple[list[float], bool]:
+        """Scale the variables of overloaded constraints toward 1, in place.
 
         Shrinking only ever lowers loads, so a few passes reach feasibility
         whenever the all-ones point is feasible (checked at build time).
         """
-        projected, _ = self._project(list(x))
-        return projected
-
-    def _project(self, x: list[float]) -> tuple[list[float], bool]:
         changed = False
         for _ in range(50):
             clean = True
             for members, cap in self.constraints:
-                load = sum(x[i] for i in members)
+                load = sum([x[i] for i in members])
                 if load > cap + 1e-12:
                     k = len(members)
                     rho = (cap - k) / (load - k) if load > k else 0.0
@@ -221,33 +224,6 @@ class _Instance:
                 break
         return x, changed
 
-    def _constraint_load(self, members: tuple[int, ...], theta: list[float],
-                         shift: float) -> tuple[float, float]:
-        """Load of a constraint and its derivative in the shared price shift.
-
-        Clamped variables contribute zero slope; interior ones contribute
-        ``-V / (theta * (theta - V * lna))`` from the closed-form maximizer.
-        """
-        V = self.V
-        lna_all, hi_all = self.lna, self.hi
-        load = 0.0
-        slope = 0.0
-        for i in members:
-            th = theta[i] + shift
-            if th <= 0.0:
-                load += hi_all[i]
-                continue
-            lna = lna_all[i]
-            x = math.log(th / (th - V * lna)) / lna
-            if x <= 1.0:
-                load += 1.0
-            elif x >= hi_all[i]:
-                load += hi_all[i]
-            else:
-                load += x
-                slope += -V / (th * (th - V * lna))
-        return load, slope
-
     def solve_relaxed(self, tol: float = _DEFAULT_GAP_TOL,
                       max_updates: int = _MAX_MULTIPLIER_UPDATES) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
@@ -259,15 +235,24 @@ class _Instance:
         to zero when slack), via safeguarded Newton steps on the monotone
         load curve.  Terminates when the relative duality gap of the
         feasibility-projected primal drops below ``tol``.
+
+        The maximizer ``x`` of every variable at its current price
+        ``theta`` and its slope are kept as state, refreshed only for the
+        members of a constraint whose multiplier moved; loads at a
+        multiplier's current value are then sums over that state.
         """
         n = len(self.keys)
         if n == 0:
             return [], 0.0
         theta = [self.q] * n
-        x = [self._xstar(i, theta[i]) for i in range(n)]
+        x, slope = [0.0] * n, [0.0] * n
+        self._load(range(n), theta, 0.0, x, slope)
         if not self.constraints:
-            return x, self.objective(x)
+            return x, self._value(x, theta)[0]
 
+        # Member values at the last shift tried, kept if the multiplier
+        # settles there.
+        trial_x, trial_slope = [0.0] * n, [0.0] * n
         nu = [0.0] * len(self.constraints)
         updates = 0
         best_x: list[float] | None = None
@@ -278,23 +263,41 @@ class _Instance:
             moved = False
             for ci, (members, cap) in enumerate(self.constraints):
                 old = nu[ci]
+                tried = None
                 if old == 0.0:
-                    load, _ = self._constraint_load(members, theta, 0.0)
+                    load = 0.0
+                    for i in members:
+                        load += x[i]
                     if load <= cap:
                         continue  # slack and unpriced: nothing to update
+                else:
+                    tried = -old
+                    load, _ = self._load(members, theta, tried, trial_x, trial_slope)
                 updates += 1
-                load0, _ = self._constraint_load(members, theta, -old)
-                if load0 <= cap:
+                if load <= cap:
                     new = 0.0
                 else:
                     # Solve load(nu) = cap on [0, price that floors all vars].
                     lo = 0.0
-                    hi_nu = max(theta_one[i] - (theta[i] - old) for i in members) + 1.0
+                    hi_nu = -math.inf
+                    for i in members:
+                        top = theta_one[i] - (theta[i] - old)
+                        if top > hi_nu:
+                            hi_nu = top
+                    hi_nu += 1.0
                     guess = old if 0.0 < old < hi_nu else 0.5 * hi_nu
                     tol_load = 1e-10 * (1.0 + cap)
                     for _ in range(_NEWTON_STEPS):
-                        load, slope = self._constraint_load(
-                            members, theta, guess - old)
+                        if guess == old:
+                            load = 0.0
+                            d_load = 0.0
+                            for i in members:
+                                load += x[i]
+                                d_load += slope[i]
+                        else:
+                            tried = guess - old
+                            load, d_load = self._load(members, theta, tried,
+                                                      trial_x, trial_slope)
                         err = load - cap
                         if abs(err) <= tol_load:
                             break
@@ -302,7 +305,7 @@ class _Instance:
                             lo = guess
                         else:
                             hi_nu = guess
-                        step = guess - err / slope if slope < 0.0 else math.inf
+                        step = guess - err / d_load if d_load < 0.0 else math.inf
                         guess = step if lo < step < hi_nu else 0.5 * (lo + hi_nu)
                     new = guess
                 if new != old:
@@ -310,31 +313,22 @@ class _Instance:
                     delta = new - old
                     for i in members:
                         theta[i] += delta
+                    if delta == tried:
+                        for i in members:
+                            x[i] = trial_x[i]
+                            slope[i] = trial_slope[i]
+                    else:
+                        self._load(members, theta, 0.0, x, slope)
                     if abs(delta) > 1e-12 * (1.0 + abs(old)):
                         moved = True
                 if updates >= max_updates:
                     break
-            x = [self._xstar(i, theta[i]) for i in range(n)]
             feas, shrunk = self._project(list(x))
+            f_feas, dual = self._value(x, theta)
             if shrunk:
-                f_feas = self.objective(feas)
-                dual = self._dual_value(x, theta, nu)
-            else:
-                # Projection was a no-op: the primal and dual sums share
-                # their log terms, so evaluate both in one pass.
-                V, lna_all, q_price = self.V, self.lna, self.q
-                log, expm1 = math.log, math.expm1
-                common = 0.0
-                price_term = 0.0
-                cost_term = 0.0
-                for i, xi in enumerate(x):
-                    common += V * log(-expm1(xi * lna_all[i]))
-                    price_term += (theta[i] - q_price) * xi
-                    cost_term += xi
-                f_feas = common - q_price * cost_term
-                dual = f_feas - price_term
-                for nu_c, (_, cap) in zip(nu, self.constraints):
-                    dual += nu_c * cap
+                f_feas = self._value(feas, theta)[0]
+            for nu_c, (_, cap) in zip(nu, self.constraints):
+                dual += nu_c * cap
             if f_feas > best_f:
                 best_f, best_x = f_feas, feas
             gap = dual - f_feas
@@ -351,6 +345,13 @@ class _Instance:
 
     # -- rounding -----------------------------------------------------------
 
+    def _gain(self, i: int, ni: int) -> float:
+        """Objective change of one more channel on variable ``i`` (-inf at its box)."""
+        if ni + 1 > self.hi[i]:
+            return -math.inf
+        li, log, expm1 = self.lna[i], math.log, math.expm1
+        return self.V * (log(-expm1((ni + 1) * li)) - log(-expm1(ni * li))) - self.q
+
     def round_down_and_fill(self, x: Sequence[float]) -> list[int]:
         """Floor the relaxed point, then add +1 surplus greedily.
 
@@ -358,42 +359,39 @@ class _Instance:
         positive marginal gain ``V*(ln P(n+1) - ln P(n)) - q``; ties break
         toward the smallest (request, edge) key.  Increments stop when no
         feasible one improves the objective, so the rounded-within-1
-        relation to the relaxed point is preserved.
+        relation to the relaxed point is preserved.  Raises
+        NoConvergenceError when the floored point is already infeasible,
+        which happens only if the relaxed point was.
         """
-        n_vars = len(self.keys)
-        V, q, lna, hi = self.V, self.q, self.lna, self.hi
-        constraints, cons_of_var = self.constraints, self.cons_of_var
-        log, expm1, floor = math.log, math.expm1, math.floor
-        counts = [max(1, floor(xi + 1e-9)) for xi in x]
-        loads = [sum(counts[i] for i in members) for members, _ in constraints]
+        n_vars, cons_of_var = len(self.keys), self.cons_of_var
+        caps = [cap for _, cap in self.constraints]
+        counts = [max(1, math.floor(xi + 1e-9)) for xi in x]
+        loads = [sum(counts[i] for i in members) for members, _ in self.constraints]
+        if (any(load > cap for load, cap in zip(loads, caps))
+                or any(c > h for c, h in zip(counts, self.hi))):
+            raise NoConvergenceError("relaxed point rounds to an infeasible allocation")
+        gains = [self._gain(i, counts[i]) for i in range(n_vars)]
         while True:
             best_i = -1
             best_gain = 0.0
             for i in range(n_vars):
-                ni = counts[i]
-                if ni + 1 > hi[i]:
-                    continue
-                blocked = False
-                for ci in cons_of_var[i]:
-                    if loads[ci] + 1 > constraints[ci][1]:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-                li = lna[i]
-                gain = V * (log(-expm1((ni + 1) * li)) - log(-expm1(ni * li))) - q
+                gain = gains[i]
                 if gain > best_gain:
-                    best_gain = gain
-                    best_i = i
+                    for ci in cons_of_var[i]:
+                        if loads[ci] + 1 > caps[ci]:
+                            break
+                    else:
+                        best_gain, best_i = gain, i
             if best_i < 0:
                 return counts
             counts[best_i] += 1
+            gains[best_i] = self._gain(best_i, counts[best_i])
             for ci in cons_of_var[best_i]:
                 loads[ci] += 1
 
     def integer_objective(self, counts: Sequence[int]) -> float:
-        return sum(self.V * self._log_p(i, ni) - self.q * ni
-                   for i, ni in enumerate(counts))
+        V, q, lna, log, expm1 = self.V, self.q, self.lna, math.log, math.expm1
+        return sum(V * log(-expm1(ni * lna[i])) - q * ni for i, ni in enumerate(counts))
 
 
 def solve_relaxed(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
@@ -421,7 +419,8 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     """Relaxed solve plus rounding; returns the allocation and its objective.
 
     Raises InfeasibleSelectionError when the routes cannot even hold one
-    channel per edge under the slot's capacities.
+    channel per edge under the slot's capacities, and NoConvergenceError
+    when the solve ends without a feasible point.
     """
     inst = _Instance(graph, caps, routes, params)
     x, _ = inst.solve_relaxed(tol=tol)

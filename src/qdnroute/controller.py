@@ -63,7 +63,8 @@ class ControllerState:
             raise ValueError("queue length must be >= 0")
 
 
-@dataclass(frozen=True)
+# Slotted: a run keeps every slot's record in memory.
+@dataclass(frozen=True, slots=True)
 class SlotRecord:
     """What one slot produced, as handed to the experiment harness."""
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 import os
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .controller import (
     POLICIES,
@@ -180,12 +178,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Read a YAML config; the literal name ``default`` gives the stock one."""
     if str(path) == "default":
         return default_config()
+    import yaml  # deferred: single-process runs that never read YAML skip its import
+
     with open(path) as fh:
         doc = yaml.safe_load(fh) or {}
     return config_from_dict(doc)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
 
@@ -313,6 +315,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, cfg.trials)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials)))
     else:

@@ -83,6 +83,8 @@ class QdnGraph:
     # log of per-channel failure probability, cached for the allocator
     log_fail: tuple[float, ...] = field(init=False, repr=False, compare=False)
     incident: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # (u, v) with u < v -> edge id
+    edge_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.qubit_caps)
@@ -91,7 +93,7 @@ class QdnGraph:
         if any(q < 0 for q in self.qubit_caps):
             raise ValueError("qubit capacities must be >= 0")
         normalized = []
-        seen: set[tuple[int, int]] = set()
+        edge_index: dict[tuple[int, int], int] = {}
         incident: list[list[int]] = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
             u, v = (e.u, e.v) if e.u < e.v else (e.v, e.u)
@@ -99,9 +101,9 @@ class QdnGraph:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({e.u}, {e.v}) references unknown node")
-            if (u, v) in seen:
+            if (u, v) in edge_index:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+            edge_index[(u, v)] = eid
             if e.channels < 0:
                 raise ValueError("channel capacity must be >= 0")
             normalized.append(EdgeSpec(u, v, e.channels, e.p_attempt, e.attempts))
@@ -118,6 +120,7 @@ class QdnGraph:
             tuple(-700.0 if p == 1.0 else max(math.log1p(-p), -700.0) for p in p_edge),
         )
         object.__setattr__(self, "incident", tuple(tuple(ids) for ids in incident))
+        object.__setattr__(self, "edge_index", edge_index)
 
     @property
     def node_count(self) -> int:
@@ -126,6 +129,10 @@ class QdnGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    def edge_id(self, a: int, b: int) -> int:
+        """Id of the edge joining nodes ``a`` and ``b``; KeyError if none does."""
+        return self.edge_index[(a, b) if a < b else (b, a)]
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """(neighbor, edge id) pairs of node ``v``, sorted by neighbor id."""
@@ -177,15 +184,12 @@ class Route:
             raise ValueError("a route needs at least two nodes")
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"route revisits a node: {nodes}")
-        lookup = {}
-        for eid, e in enumerate(graph.edges):
-            lookup[(e.u, e.v)] = eid
         edge_ids = []
         for a, b in zip(nodes, nodes[1:]):
-            key = (a, b) if a < b else (b, a)
-            if key not in lookup:
-                raise ValueError(f"nodes {a} and {b} are not adjacent")
-            edge_ids.append(lookup[key])
+            try:
+                edge_ids.append(graph.edge_id(a, b))
+            except KeyError:
+                raise ValueError(f"nodes {a} and {b} are not adjacent") from None
         return cls(request_id, tuple(edge_ids), tuple(nodes))
 
 

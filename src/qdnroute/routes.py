@@ -92,10 +92,6 @@ def candidate_routes(graph: QdnGraph, s: int, d: int,
     accepted_set = {first}
     candidates: list[tuple[int, tuple[int, ...]]] = []
     in_candidates: set[tuple[int, ...]] = set()
-    edge_of = {}
-    for eid, e in enumerate(graph.edges):
-        edge_of[(e.u, e.v)] = eid
-        edge_of[(e.v, e.u)] = eid
 
     while len(accepted) < _ENUMERATION_SAFETY_CAP:
         prev = accepted[-1]
@@ -104,7 +100,7 @@ def candidate_routes(graph: QdnGraph, s: int, d: int,
             banned_edges = set()
             for path in accepted:
                 if path[: i + 1] == root and len(path) > i + 1:
-                    banned_edges.add(edge_of[(path[i], path[i + 1])])
+                    banned_edges.add(graph.edge_id(path[i], path[i + 1]))
             banned_nodes = frozenset(root[:-1])
             spur = _lex_shortest(graph, root[-1], d, banned_nodes,
                                  frozenset(banned_edges))

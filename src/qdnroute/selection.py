@@ -4,7 +4,9 @@ Two searchers share the allocator as their evaluation oracle: exhaustive
 enumeration for small product spaces, and a Gibbs sampler whose proposals
 flip one request's route at a time and are accepted with a logistic
 probability in the objective difference.  Infeasible joint selections score
-negative infinity so either searcher simply avoids them.
+negative infinity so either searcher simply avoids them; so does a selection
+whose allocation solve fails to converge, so one bad combination cannot
+abort a run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .allocation import (
     Allocation,
     InfeasibleSelectionError,
+    NoConvergenceError,
     PerSlotObjectiveParams,
     allocate,
 )
@@ -97,7 +100,7 @@ def _evaluate(graph: QdnGraph, caps: SlotCapacities, requests: Sequence[SdReques
     routes = [req.candidates[c] for req, c in zip(requests, choice)]
     try:
         return allocate(graph, caps, routes, params)
-    except InfeasibleSelectionError:
+    except (InfeasibleSelectionError, NoConvergenceError):
         return None, -math.inf
 
 

@@ -254,6 +254,7 @@ def test_criterion_5_gibbs_matches_exhaustive():
            f"{feasible}/50 feasible (= 50)")
 
 
+@pytest.mark.slow
 def test_criterion_6_default_run_reproduces_headline_rates(default_run):
     cfg, result, elapsed = default_run
     means = {p: result.policy_mean(p, "final_success") for p in cfg.policies}
@@ -271,6 +272,7 @@ def test_criterion_6_default_run_reproduces_headline_rates(default_run):
            f"{elapsed:.0f}s (< 10 min)")
 
 
+@pytest.mark.slow
 def test_criterion_7_theorem1_bound_holds(default_run):
     cfg, result, _ = default_run
     C, T = cfg.budget.total_budget, cfg.budget.horizon
@@ -286,6 +288,7 @@ def test_criterion_7_theorem1_bound_holds(default_run):
            f"OSCAR trials (violations: {violations})")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("case", ["budget", "penalty_weight", "initial_queue"])
 def test_criterion_8_sweep_trends(case):
     cfg = replace(default_config(), workers=2)
@@ -319,6 +322,7 @@ def test_criterion_8_sweep_trends(case):
     report(8, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
     for sub in ("first", "second"):
         code = cli_main(["run", "--config", "default", "--seed", "7",

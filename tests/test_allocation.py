@@ -7,14 +7,20 @@ Core claims:
     - on chains and two-variable instances the relaxed objective matches
       fine-grid oracles (DP and full enumeration, step 0.01)
     - rounding floors the relaxed point, fills surplus greedily, and always
-      returns a feasible integer point within 1 of the relaxed one
+      returns a feasible integer point within 1 of the relaxed one; an
+      infeasible relaxed point raises instead of being returned
     - the end-to-end allocation is within the additive delta_gap bound of
       the exhaustive integer optimum
     - infeasible selections raise; budget caps are hard; raising the cost
       price never increases the returned cost
+    - allocate() outputs on a fixed instance set match a recorded digest
+      bit for bit
 """
 
+import hashlib
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,14 +37,17 @@ from instances import (
 )
 from qdnroute.allocation import (
     InfeasibleSelectionError,
+    NoConvergenceError,
     PerSlotObjectiveParams,
     RelaxedSolution,
+    _Instance,
     allocate,
     delta_gap,
     per_slot_objective,
     round_allocation,
     solve_relaxed,
 )
+from qdnroute.harness import default_config
 from qdnroute.model import (
     Allocation,
     EdgeSpec,
@@ -47,6 +56,8 @@ from qdnroute.model import (
     SlotCapacities,
     verify_feasible,
 )
+from qdnroute.routes import CandidateCache, build_requests
+from qdnroute.topology import generate_waxman, sample_requests, sample_slot_capacities
 
 
 def single_edge_setup(p_e=0.5, channels=10, qubits=20):
@@ -239,6 +250,31 @@ class TestRounding:
             if params.cost_cap is not None:
                 assert alloc.cost <= params.cost_cap
 
+    def test_infeasible_relaxed_point_raises(self):
+        g = QdnGraph((10, 10), (EdgeSpec(0, 1, 3, 0.5, 1),))
+        caps = SlotCapacities.from_graph(g)
+        routes = [Route.from_nodes(g, [0, 1], request_id=0),
+                  Route.from_nodes(g, [0, 1], request_id=1)]
+        params = PerSlotObjectiveParams(V=1.0, q=0.0)
+        # floors to 2 + 2 channels on an edge that holds 3
+        with pytest.raises(NoConvergenceError):
+            round_allocation(g, caps, routes,
+                             self._relaxed({(0, 0): 2.0, (1, 0): 2.5}), params)
+        # floors above the variable's own box
+        with pytest.raises(NoConvergenceError):
+            round_allocation(g, caps, routes[:1], self._relaxed({(0, 0): 4.5}), params)
+
+    def test_failed_projection_is_not_returned(self, monkeypatch):
+        # A projection that gives up leaves every variable at its box; the
+        # allocator must refuse the result, not hand out an infeasible point.
+        g = QdnGraph((10, 10), (EdgeSpec(0, 1, 3, 0.5, 1),))
+        caps = SlotCapacities.from_graph(g)
+        routes = [Route.from_nodes(g, [0, 1], request_id=0),
+                  Route.from_nodes(g, [0, 1], request_id=1)]
+        monkeypatch.setattr(_Instance, "_project", lambda self, x: (list(self.hi), True))
+        with pytest.raises(NoConvergenceError):
+            allocate(g, caps, routes, PerSlotObjectiveParams(V=1.0, q=0.0))
+
 
 class TestAllocate:
     def test_unique_feasible_point(self):
@@ -298,3 +334,48 @@ class TestAllocate:
                 if prev_cost is not None:
                     assert alloc.cost <= prev_cost
                 prev_cost = alloc.cost
+
+
+# SHA-256 of every allocate() output below.  A change that moves any output
+# bit (an allocation entry or the objective's last ulp) changes it; update it
+# only for a change that alters allocator outputs on purpose.
+PINNED_OUTPUTS_SHA256 = "1cda94cbb9dcc14647bfcc326986030b50bdc29015bbcfd9d4903eac4c42b6f4"
+
+
+def _pin(h, key, call):
+    try:
+        alloc, f = call()
+    except (InfeasibleSelectionError, NoConvergenceError) as exc:
+        h.update(f"{key}:{type(exc).__name__}\n".encode())
+        return
+    h.update(f"{key}:{sorted(alloc.items())!r}:{f.hex()}\n".encode())
+
+
+def test_outputs_pinned():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(59)
+    for k in range(200):
+        g, caps, routes, params = random_allocation_instance(
+            rng, with_cost_cap=bool(k % 2))
+        _pin(h, f"random{k}", lambda: allocate(g, caps, routes, params))
+
+    # Every route combination of the first slots of the default config's
+    # trial 0, priced by a queue (OSCAR) and under a hard slot cap (MA/MF).
+    cfg = default_config()
+    graph = generate_waxman(replace(cfg.topology, seed=cfg.seed), cfg.capacities)
+    cache = CandidateCache(graph, cfg.route)
+    budget = cfg.budget
+    priced = PerSlotObjectiveParams(V=budget.V, q=budget.q0)
+    capped = PerSlotObjectiveParams(
+        V=budget.V, q=0.0, cost_cap=budget.total_budget // budget.horizon)
+    for t in range(10):
+        caps = sample_slot_capacities(graph, cfg.capacities, t, cfg.seed)
+        reqs = build_requests(graph, sample_requests(graph, cfg.workload, t, cfg.seed),
+                              cfg.route, cache)
+        reqs = [r for r in reqs if r.servable]
+        for choice in product(*(range(len(r.candidates)) for r in reqs)):
+            routes = [r.candidates[c] for r, c in zip(reqs, choice)]
+            for tag, params in (("priced", priced), ("capped", capped)):
+                _pin(h, f"slot{t}{choice}{tag}",
+                     lambda: allocate(graph, caps, routes, params))
+    assert h.hexdigest() == PINNED_OUTPUTS_SHA256

@@ -284,8 +284,12 @@ class TestMonteCarlo:
 
 class TestTypes:
     def test_graph_normalizes_endpoints(self):
-        g = QdnGraph((1, 1), (EdgeSpec(1, 0, 2, 0.5, 1),))
+        g = QdnGraph((1, 1, 1), (EdgeSpec(1, 0, 2, 0.5, 1), EdgeSpec(2, 1, 2, 0.5, 1)))
         assert g.edges[0].u == 0 and g.edges[0].v == 1
+        assert g.edge_id(0, 1) == g.edge_id(1, 0) == 0
+        assert g.edge_id(2, 1) == 1
+        with pytest.raises(KeyError):
+            g.edge_id(0, 2)
 
     def test_graph_rejects_bad_edges(self):
         with pytest.raises(ValueError):

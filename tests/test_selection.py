@@ -9,16 +9,25 @@ Core claims:
       allocation, and at low temperature finds the exhaustive optimum on
       enumerable instances
     - the auto selector dispatches on the product-space size
+    - a combination whose allocation solve fails to converge scores as
+      infeasible in both searchers instead of aborting the search
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from pytest import approx
 
 from instances import random_allocation_instance
-from qdnroute.allocation import PerSlotObjectiveParams
+from qdnroute import selection
+from qdnroute.allocation import (
+    InfeasibleSelectionError,
+    NoConvergenceError,
+    PerSlotObjectiveParams,
+    allocate,
+)
 from qdnroute.model import (
     EdgeSpec,
     QdnGraph,
@@ -118,7 +127,6 @@ class TestExhaustive:
 
     def test_matches_brute_force_evaluation(self):
         rng = np.random.default_rng(11)
-        from qdnroute.allocation import allocate
         for _ in range(30):
             g, caps, routes, params = random_allocation_instance(rng, max_requests=2)
             reqs = build_requests(
@@ -132,7 +140,6 @@ class TestExhaustive:
                 continue
             # best over the explicit product space, evaluated independently
             best = -math.inf
-            from itertools import product
             for combo in product(*(range(len(r.candidates)) for r in reqs)):
                 chosen = [r.candidates[c] for r, c in zip(reqs, combo)]
                 try:
@@ -232,3 +239,96 @@ class TestAutoSelect:
                                       gibbs=GibbsParams(gamma=0.5, seed=2),
                                       enumeration_cap=1)
         assert alloc is not None
+
+
+def fail_on(monkeypatch, bad_routes):
+    """Make the selectors' allocator raise NoConvergenceError on one combination."""
+    bad = [r.edges for r in bad_routes]
+
+    def flaky(graph, caps, routes, params):
+        if [r.edges for r in routes] == bad:
+            raise NoConvergenceError("injected")
+        return allocate(graph, caps, routes, params)
+
+    monkeypatch.setattr(selection, "allocate", flaky)
+
+
+def multi_request_instance(rng):
+    """Requests with at least two route combinations, at least two feasible."""
+    while True:
+        g, caps, routes, params = random_allocation_instance(rng, max_requests=3)
+        reqs = build_requests(g, [(r.nodes[0], r.nodes[-1]) for r in routes],
+                              RouteConfig(max_candidates=3, max_hops=4))
+        if not all(r.servable for r in reqs):
+            continue
+        feasible = 0
+        for combo in product(*(range(len(r.candidates)) for r in reqs)):
+            try:
+                allocate(g, caps, [r.candidates[c] for r, c in zip(reqs, combo)], params)
+                feasible += 1
+            except InfeasibleSelectionError:
+                pass
+        if feasible >= 2:
+            return g, caps, reqs, params
+
+
+class TestNoConvergencePolicy:
+    def test_exhaustive_skips_failed_combination(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            g, caps, reqs, params = multi_request_instance(rng)
+            sel, _, f = exhaustive_select(g, caps, reqs, params)
+            bad = tuple(sel[r.request_id] for r in reqs)
+            # the best of the remaining combinations, evaluated unpatched
+            best = -math.inf
+            for combo in product(*(range(len(r.candidates)) for r in reqs)):
+                if combo == bad:
+                    continue
+                try:
+                    _, val = allocate(
+                        g, caps, [r.candidates[c] for r, c in zip(reqs, combo)], params)
+                except InfeasibleSelectionError:
+                    continue
+                best = max(best, val)
+            with monkeypatch.context() as m:
+                fail_on(m, [r.candidates[c] for r, c in zip(reqs, bad)])
+                sel2, alloc2, f2 = exhaustive_select(g, caps, reqs, params)
+            assert tuple(sel2[r.request_id] for r in reqs) != bad
+            assert f2 == best <= f
+            chosen = [r.candidates[sel2[r.request_id]] for r in reqs]
+            assert verify_feasible(g, caps, chosen, alloc2).ok
+
+    def test_exhaustive_all_failed_is_all_infeasible(self, monkeypatch):
+        g, caps, reqs = two_route_request()
+
+        def always(*args):
+            raise NoConvergenceError("injected")
+
+        monkeypatch.setattr(selection, "allocate", always)
+        with pytest.raises(AllInfeasibleError):
+            exhaustive_select(g, caps, reqs, PerSlotObjectiveParams(V=1.0))
+
+    def test_gibbs_avoids_failed_combination(self, monkeypatch):
+        g, caps, reqs = two_route_request()
+        params = PerSlotObjectiveParams(V=1.0, q=0.0, cost_cap=2)
+        assert exhaustive_select(g, caps, reqs, params)[0] == {0: 0}
+        fail_on(monkeypatch, [reqs[0].candidates[0]])
+        for seed in range(5):
+            sel, alloc, f = gibbs_select(g, caps, reqs, params,
+                                         GibbsParams(gamma=0.5, seed=seed))
+            assert sel == {0: 1}
+            assert verify_feasible(g, caps, [reqs[0].candidates[1]], alloc).ok
+
+    def test_gibbs_multi_request(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        for seed in range(5):
+            g, caps, reqs, params = multi_request_instance(rng)
+            sel, _, _ = exhaustive_select(g, caps, reqs, params)
+            bad = tuple(sel[r.request_id] for r in reqs)
+            with monkeypatch.context() as m:
+                fail_on(m, [r.candidates[c] for r, c in zip(reqs, bad)])
+                sel2, alloc2, _ = gibbs_select(g, caps, reqs, params,
+                                               GibbsParams(gamma=1.0, seed=seed))
+            assert tuple(sel2[r.request_id] for r in reqs) != bad
+            chosen = [r.candidates[sel2[r.request_id]] for r in reqs]
+            assert verify_feasible(g, caps, chosen, alloc2).ok
