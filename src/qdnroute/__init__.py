@@ -7,6 +7,7 @@ queue-driven controller with myopic baselines, and an experiment harness.
 """
 
 from .allocation import (
+    DominatedError,
     InfeasibleSelectionError,
     NoConvergenceError,
     PerSlotObjectiveParams,

@@ -31,6 +31,18 @@ class NoConvergenceError(RuntimeError):
     """The dual solve hit its iteration cap far from optimality."""
 
 
+class DominatedError(RuntimeError):
+    """The relaxed optimum is certified to lie below the caller's floor.
+
+    ``bound`` is a dual value, an upper bound on the relaxed optimum and so
+    on the objective ``allocate`` would have returned.
+    """
+
+    def __init__(self, bound: float):
+        super().__init__(f"relaxed optimum is at most {bound!r}, below the floor")
+        self.bound = bound
+
+
 @dataclass(frozen=True)
 class PerSlotObjectiveParams:
     """Weights of the per-slot objective and an optional hard budget.
@@ -81,11 +93,12 @@ class _Instance:
     Variables are the (request, edge) pairs of the selected routes, in
     sorted key order.  Constraints couple variables through node loads,
     edge loads, and the optional budget; constraints that cannot bind under
-    the per-variable boxes are dropped.
+    the per-variable boxes are dropped.  ``budget`` is the budget
+    constraint when it is one of them, else None.
     """
 
     __slots__ = ("keys", "lna", "vlna", "hi", "theta_one", "constraints",
-                 "cons_of_var", "V", "q")
+                 "budget", "cons_of_var", "V", "q")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
                  routes: Sequence[Route], params: PerSlotObjectiveParams):
@@ -143,13 +156,15 @@ class _Instance:
                 )
             if sum(self.hi[i] for i in members) > cap:
                 constraints.append((tuple(members), float(cap)))
+        self.budget = None
         if params.cost_cap is not None:
             if n > params.cost_cap:
                 raise InfeasibleSelectionError(
                     f"all-ones cost {n} exceeds slot budget {params.cost_cap}"
                 )
             if sum(self.hi) > params.cost_cap:
-                constraints.append((tuple(range(n)), float(params.cost_cap)))
+                self.budget = (tuple(range(n)), float(params.cost_cap))
+                constraints.append(self.budget)
         self.constraints = constraints
         self.cons_of_var: list[list[int]] = [[] for _ in range(n)]
         for ci, (members, _) in enumerate(constraints):
@@ -224,8 +239,73 @@ class _Instance:
                 break
         return x, changed
 
+    def _meet_cap(self, members: Sequence[int], cap: float, theta: list[float],
+                  old: float, tried: float | None, x: list[float], slope: list[float],
+                  trial_x: list[float], trial_slope: list[float]) -> tuple[float, float | None]:
+        """Multiplier at which an overloaded constraint's load meets ``cap``.
+
+        Safeguarded Newton on the monotone load curve over [0, the price
+        that floors every member].  ``theta`` includes the multiplier at
+        ``old``, where ``x`` and ``slope`` hold the members' values.  Each
+        other shift tried leaves the members' values in ``trial_x`` and
+        ``trial_slope``; returns the multiplier and the last shift tried
+        (``tried`` when none is).
+        """
+        lo = 0.0
+        hi_nu = -math.inf
+        theta_one = self.theta_one
+        for i in members:
+            top = theta_one[i] - (theta[i] - old)
+            if top > hi_nu:
+                hi_nu = top
+        hi_nu += 1.0
+        guess = old if 0.0 < old < hi_nu else 0.5 * hi_nu
+        tol_load = 1e-10 * (1.0 + cap)
+        for _ in range(_NEWTON_STEPS):
+            if guess == old:
+                load = 0.0
+                d_load = 0.0
+                for i in members:
+                    load += x[i]
+                    d_load += slope[i]
+            else:
+                tried = guess - old
+                load, d_load = self._load(members, theta, tried, trial_x, trial_slope)
+            err = load - cap
+            if abs(err) <= tol_load:
+                break
+            if err > 0.0:
+                lo = guess
+            else:
+                hi_nu = guess
+            step = guess - err / d_load if d_load < 0.0 else math.inf
+            guess = step if lo < step < hi_nu else 0.5 * (lo + hi_nu)
+        return guess, tried
+
+    def _initial_bound(self, theta: list[float], x: list[float], slope: list[float],
+                       trial_x: list[float], trial_slope: list[float]) -> float:
+        """Upper bound on the relaxed optimum before any multiplier moves.
+
+        The dual value at zero multipliers, tightened when the budget is a
+        constraint by the budget-only Lagrangian at the price where the
+        box maximizers' total meets the budget.  ``x`` and ``slope`` hold
+        the maximizers at zero multipliers and are left unchanged.
+        """
+        bound = self._value(x, theta)[1]
+        if self.budget is not None:
+            members, cap = self.budget
+            if sum(x) > cap:
+                lam, tried = self._meet_cap(members, cap, theta, 0.0, None,
+                                            x, slope, trial_x, trial_slope)
+                if lam != tried:
+                    self._load(members, theta, lam, trial_x, trial_slope)
+                lagrangian = self._value(trial_x, theta)[1] - lam * (sum(trial_x) - cap)
+                bound = min(bound, lagrangian)
+        return bound
+
     def solve_relaxed(self, tol: float = _DEFAULT_GAP_TOL,
-                      max_updates: int = _MAX_MULTIPLIER_UPDATES) -> tuple[list[float], float]:
+                      max_updates: int = _MAX_MULTIPLIER_UPDATES,
+                      floor: float = -math.inf) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
 
         One nonnegative multiplier per coupling constraint; the Lagrangian
@@ -240,6 +320,12 @@ class _Instance:
         ``theta`` and its slope are kept as state, refreshed only for the
         members of a constraint whose multiplier moved; loads at a
         multiplier's current value are then sums over that state.
+
+        Raises DominatedError as soon as a certified upper bound on the
+        relaxed optimum falls below ``floor``: the bound of
+        ``_initial_bound`` before the first sweep, then the dual value at
+        the end of every sweep.  The bounds are computed beside the solve
+        and leave its path unchanged.
         """
         n = len(self.keys)
         if n == 0:
@@ -248,17 +334,24 @@ class _Instance:
         x, slope = [0.0] * n, [0.0] * n
         self._load(range(n), theta, 0.0, x, slope)
         if not self.constraints:
-            return x, self._value(x, theta)[0]
+            f = self._value(x, theta)[0]
+            if f < floor:
+                raise DominatedError(f)
+            return x, f
 
         # Member values at the last shift tried, kept if the multiplier
         # settles there.
         trial_x, trial_slope = [0.0] * n, [0.0] * n
+        bound = math.inf
+        if floor > -math.inf:
+            bound = self._initial_bound(theta, x, slope, trial_x, trial_slope)
+            if bound < floor:
+                raise DominatedError(bound)
         nu = [0.0] * len(self.constraints)
         updates = 0
         best_x: list[float] | None = None
         best_f = -math.inf
         gap = math.inf
-        theta_one = self.theta_one
         while updates < max_updates:
             moved = False
             for ci, (members, cap) in enumerate(self.constraints):
@@ -277,37 +370,8 @@ class _Instance:
                 if load <= cap:
                     new = 0.0
                 else:
-                    # Solve load(nu) = cap on [0, price that floors all vars].
-                    lo = 0.0
-                    hi_nu = -math.inf
-                    for i in members:
-                        top = theta_one[i] - (theta[i] - old)
-                        if top > hi_nu:
-                            hi_nu = top
-                    hi_nu += 1.0
-                    guess = old if 0.0 < old < hi_nu else 0.5 * hi_nu
-                    tol_load = 1e-10 * (1.0 + cap)
-                    for _ in range(_NEWTON_STEPS):
-                        if guess == old:
-                            load = 0.0
-                            d_load = 0.0
-                            for i in members:
-                                load += x[i]
-                                d_load += slope[i]
-                        else:
-                            tried = guess - old
-                            load, d_load = self._load(members, theta, tried,
-                                                      trial_x, trial_slope)
-                        err = load - cap
-                        if abs(err) <= tol_load:
-                            break
-                        if err > 0.0:
-                            lo = guess
-                        else:
-                            hi_nu = guess
-                        step = guess - err / d_load if d_load < 0.0 else math.inf
-                        guess = step if lo < step < hi_nu else 0.5 * (lo + hi_nu)
-                    new = guess
+                    new, tried = self._meet_cap(members, cap, theta, old, tried,
+                                                x, slope, trial_x, trial_slope)
                 if new != old:
                     nu[ci] = new
                     delta = new - old
@@ -329,6 +393,10 @@ class _Instance:
                 f_feas = self._value(feas, theta)[0]
             for nu_c, (_, cap) in zip(nu, self.constraints):
                 dual += nu_c * cap
+            if dual < bound:
+                bound = dual
+                if bound < floor:
+                    raise DominatedError(bound)
             if f_feas > best_f:
                 best_f, best_x = f_feas, feas
             gap = dual - f_feas
@@ -415,15 +483,19 @@ def round_allocation(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Rou
 
 def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
              params: PerSlotObjectiveParams,
-             tol: float = _DEFAULT_GAP_TOL) -> tuple[Allocation, float]:
+             tol: float = _DEFAULT_GAP_TOL,
+             floor: float = -math.inf) -> tuple[Allocation, float]:
     """Relaxed solve plus rounding; returns the allocation and its objective.
 
     Raises InfeasibleSelectionError when the routes cannot even hold one
     channel per edge under the slot's capacities, and NoConvergenceError
-    when the solve ends without a feasible point.
+    when the solve ends without a feasible point.  Raises DominatedError,
+    without finishing the solve, as soon as a certified upper bound on the
+    relaxed optimum (and so on the returned objective) falls below
+    ``floor``; a call that is not cut returns what it would without one.
     """
     inst = _Instance(graph, caps, routes, params)
-    x, _ = inst.solve_relaxed(tol=tol)
+    x, _ = inst.solve_relaxed(tol=tol, floor=floor)
     counts = inst.round_down_and_fill(x)
     alloc = Allocation(dict(zip(inst.keys, counts)))
     return alloc, inst.integer_objective(counts)

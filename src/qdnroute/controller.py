@@ -178,8 +178,11 @@ def ma_slot(graph: QdnGraph, caps: SlotCapacities,
 
 
 def run_slot(policy: str, *args, **kwargs):
-    step = {"OSCAR": oscar_slot, "MF": mf_slot, "MA": ma_slot}[policy]
-    return step(*args, **kwargs)
+    """One slot of ``policy``; the remaining arguments go to its step function."""
+    steps = {"OSCAR": oscar_slot, "MF": mf_slot, "MA": ma_slot}
+    if policy not in steps:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
+    return steps[policy](*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

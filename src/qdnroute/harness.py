@@ -118,8 +118,25 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _reject_unknown_keys(doc: dict, known: dict) -> None:
+    """Raise ValueError for a key of ``doc`` that ``known`` lacks, at the
+    top level or inside a section (a mapping-valued key of ``known``)."""
+    for key, value in doc.items():
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r} at the top level")
+        if isinstance(known[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {key!r} must be a mapping")
+            for sub in value:
+                if sub not in known[key]:
+                    raise ValueError(f"unknown config key {sub!r} in section {key!r}")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Config from a ``config_to_dict``-shaped mapping; missing keys take
+    their default values and unknown keys raise ValueError."""
     base = default_config()
+    _reject_unknown_keys(doc, config_to_dict(base))
     topo = doc.get("topology", {})
     caps = doc.get("capacities", {})
     work = doc.get("workload", {})

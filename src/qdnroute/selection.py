@@ -6,7 +6,9 @@ flip one request's route at a time and are accepted with a logistic
 probability in the objective difference.  Infeasible joint selections score
 negative infinity so either searcher simply avoids them; so does a selection
 whose allocation solve fails to converge, so one bad combination cannot
-abort a run.
+abort a run.  The Gibbs sampler draws each proposal's acceptance variate
+first and rejects a proposal whose certified allocator bound already loses
+at that draw, without finishing its solve.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .allocation import (
     Allocation,
+    DominatedError,
     InfeasibleSelectionError,
     NoConvergenceError,
     PerSlotObjectiveParams,
@@ -94,12 +97,22 @@ def gibbs_accept_prob(f_new: float, f_old: float, gamma: float) -> float:
     return 1.0 / (1.0 + math.exp(z))
 
 
+def _rejection_floor(u: float, f_old: float, gamma: float) -> float:
+    """Objective below which ``gibbs_accept_prob`` falls under the draw ``u``,
+    lowered by a relative 2e-9 so that a bound below it passes the exact
+    test in ``gibbs_select``."""
+    if u <= 0.0:
+        return -math.inf
+    edge = f_old + gamma * math.log(u / (1.0 - u))
+    return edge - 2e-9 * (1.0 + abs(edge))
+
+
 def _evaluate(graph: QdnGraph, caps: SlotCapacities, requests: Sequence[SdRequest],
-              choice: tuple[int, ...],
-              params: PerSlotObjectiveParams) -> tuple[Allocation | None, float]:
+              choice: tuple[int, ...], params: PerSlotObjectiveParams,
+              floor: float = -math.inf) -> tuple[Allocation | None, float]:
     routes = [req.candidates[c] for req, c in zip(requests, choice)]
     try:
-        return allocate(graph, caps, routes, params)
+        return allocate(graph, caps, routes, params, floor=floor)
     except (InfeasibleSelectionError, NoConvergenceError):
         return None, -math.inf
 
@@ -168,6 +181,17 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     accepts with ``gibbs_accept_prob``.  Stops after ``stability_window``
     consecutive proposals without an accepted change, or at ``max_iters``.
     Deterministic given the seed.
+
+    The acceptance variate ``u`` is drawn before the proposal is evaluated.
+    A proposal not solved yet is handed to ``allocate`` with the objective
+    below which it would be rejected at ``u`` as its floor; when the
+    allocator certifies an upper bound ``B`` on its objective with
+    ``u >= gibbs_accept_prob(B + 1e-9*(1+|B|), f_cur, gamma)``, it is
+    rejected without a full solve.  The tightest bound per proposal is
+    kept, so a re-proposal may be rejected without a call.  The outcome is
+    the same as solving every proposal.  ``trace`` receives
+    ``(iteration, proposal, f_cur, f_new, accepted)`` per proposal, with
+    ``f_new = None`` for a proposal rejected by its bound.
     """
     if not requests:
         raise ValueError("no requests to select routes for")
@@ -180,11 +204,31 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     rng = np.random.default_rng(gibbs.seed)
 
     memo: dict[tuple[int, ...], tuple[Allocation | None, float]] = {}
+    bounds: dict[tuple[int, ...], float] = {}
 
     def evaluate(choice: tuple[int, ...]) -> tuple[Allocation | None, float]:
         if choice not in memo:
             memo[choice] = _evaluate(graph, caps, requests, choice, params)
         return memo[choice]
+
+    def loses(choice: tuple[int, ...], u: float) -> bool:
+        bound = bounds.get(choice, math.inf)
+        return u >= gibbs_accept_prob(bound + 1e-9 * (1.0 + abs(bound)), f_cur, gibbs.gamma)
+
+    def evaluate_or_reject(choice: tuple[int, ...],
+                           u: float) -> tuple[Allocation | None, float | None]:
+        # (None, None) when the choice's certified bound rejects it at u.
+        if choice not in memo:
+            if loses(choice, u):
+                return None, None
+            try:
+                memo[choice] = _evaluate(graph, caps, requests, choice, params,
+                                         _rejection_floor(u, f_cur, gibbs.gamma))
+            except DominatedError as exc:
+                bounds[choice] = min(bounds.get(choice, math.inf), exc.bound)
+                if loses(choice, u):
+                    return None, None
+        return evaluate(choice)
 
     current = None
     f_cur = -math.inf
@@ -223,9 +267,9 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
             stable += 1
             continue
         proposal = tuple(proposal)
-        alloc, f_new = evaluate(proposal)
-        eta = gibbs_accept_prob(f_new, f_cur, gibbs.gamma)
-        accepted = rng.random() < eta
+        u = rng.random()
+        alloc, f_new = evaluate_or_reject(proposal, u)
+        accepted = f_new is not None and u < gibbs_accept_prob(f_new, f_cur, gibbs.gamma)
         if trace is not None:
             trace.append((it, proposal, f_cur, f_new, accepted))
         if accepted and alloc is not None:

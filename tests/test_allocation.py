@@ -15,6 +15,9 @@ Core claims:
       price never increases the returned cost
     - allocate() outputs on a fixed instance set match a recorded digest
       bit for bit
+    - allocate(floor=...) either returns exactly what allocate() returns or
+      raises DominatedError with a bound that is at least the objective and
+      below the floor
 """
 
 import hashlib
@@ -24,6 +27,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from instances import (
@@ -36,6 +41,7 @@ from instances import (
     stationarity_root,
 )
 from qdnroute.allocation import (
+    DominatedError,
     InfeasibleSelectionError,
     NoConvergenceError,
     PerSlotObjectiveParams,
@@ -379,3 +385,58 @@ def test_outputs_pinned():
                 _pin(h, f"slot{t}{choice}{tag}",
                      lambda: allocate(graph, caps, routes, params))
     assert h.hexdigest() == PINNED_OUTPUTS_SHA256
+
+
+def _margin(f):
+    return 1e-9 * (1.0 + abs(f))
+
+
+class TestFloor:
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(),
+           rel=st.floats(-1e-6, 1e-6) | st.floats(-0.5, 0.5) | st.floats(-50.0, 50.0))
+    def test_exact_or_certified(self, seed, capped, rel):
+        rng = np.random.default_rng(seed)
+        g, caps, routes, params = random_allocation_instance(rng, with_cost_cap=capped)
+        try:
+            alloc, f = allocate(g, caps, routes, params)
+        except NoConvergenceError:
+            with pytest.raises((NoConvergenceError, DominatedError)):
+                allocate(g, caps, routes, params, floor=0.0)
+            return
+        floor = f + rel * (1.0 + abs(f))
+        try:
+            alloc2, f2 = allocate(g, caps, routes, params, floor=floor)
+        except DominatedError as exc:
+            assert f - _margin(f) <= exc.bound < floor
+        else:
+            assert sorted(alloc2.items()) == sorted(alloc.items())
+            assert f2.hex() == f.hex()
+
+    def test_floor_above_relaxed_optimum_cuts(self):
+        # Both the pre-loop bound and the per-sweep dual values get used.
+        rng = np.random.default_rng(71)
+        for k in range(100):
+            g, caps, routes, params = random_allocation_instance(
+                rng, with_cost_cap=bool(k % 2))
+            relaxed = solve_relaxed(g, caps, routes, params).objective
+            for floor in (relaxed + 1e-3 * (1.0 + abs(relaxed)), relaxed + 1e6):
+                with pytest.raises(DominatedError) as info:
+                    allocate(g, caps, routes, params, floor=floor)
+                assert relaxed - _margin(relaxed) <= info.value.bound < floor
+
+    def test_budget_lagrangian_tightens_initial_bound(self):
+        # At zero price the box maximizer sits at its cap of 10 channels,
+        # far above the budget of 1; no multiplier update is allowed, so
+        # only the pre-loop bound can cut.
+        g, caps, route = single_edge_setup(p_e=0.5, channels=10)
+        params = PerSlotObjectiveParams(V=1.0, q=0.0, cost_cap=1)
+        f = allocate(g, caps, [route], params)[1]
+        unbudgeted = allocate(g, caps, [route], PerSlotObjectiveParams(V=1.0, q=0.0))[1]
+        floor = 0.5 * (f + unbudgeted)
+        inst = _Instance(g, caps, [route], params)
+        with pytest.raises(DominatedError) as info:
+            inst.solve_relaxed(max_updates=0, floor=floor)
+        assert f - _margin(f) <= info.value.bound < floor
+        with pytest.raises(NoConvergenceError):
+            inst.solve_relaxed(max_updates=0, floor=unbudgeted - 1.0)

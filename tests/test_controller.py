@@ -9,6 +9,8 @@ Core claims:
       first-slot decision
     - theorem bound evaluators reproduce hand values and limits
     - the feasibility assumption check is exact arithmetic
+    - run_slot rejects an unknown policy with a ValueError naming the
+      known ones
 """
 
 import math
@@ -27,6 +29,7 @@ from qdnroute.controller import (
     mf_slot,
     oscar_slot,
     queue_update,
+    run_slot,
     theorem1_drift_bound,
     theorem1_rhs,
     theorem2_gap,
@@ -102,6 +105,13 @@ class TestOscarSlot:
         budget = BudgetParams(5000, 200, V=2500.0)
         with pytest.raises(ValueError):
             oscar_slot(g, caps, reqs, ControllerState(q=0.0, policy="MF"), budget)
+
+    def test_run_slot_rejects_unknown_policy(self):
+        g, caps, reqs = small_world()
+        budget = BudgetParams(5000, 200, V=2500.0)
+        state = ControllerState(q=0.0, policy="OSCAR")
+        with pytest.raises(ValueError, match="'oscar'; expected one of OSCAR, MF, MA"):
+            run_slot("oscar", g, caps, reqs, state, budget)
 
 
 class TestBaselineSlots:

@@ -1,7 +1,8 @@
 """Unit tests for experiment orchestration and persistence.
 
 Core claims:
-    - configs round-trip through YAML and the 'default' name resolves
+    - configs round-trip through YAML and the 'default' name resolves;
+      unknown keys raise ValueError naming the key and its section
     - run_experiment writes the documented CSV schemas and byte-identical
       outputs on repeated runs, independent of the worker count
     - policies within a trial see identical request streams (paired design)
@@ -84,6 +85,24 @@ class TestConfig:
 
     def test_default_name(self):
         assert load_config("default") == default_config()
+
+    def test_default_dict_roundtrips(self):
+        assert config_from_dict(config_to_dict(default_config())) == default_config()
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="'seeds' at the top level"):
+            config_from_dict({"seeds": 3})
+        # a misspelled key must not silently fall back to its default
+        with pytest.raises(ValueError, match="'Q0' in section 'budget'"):
+            config_from_dict({"budget": {"Q0": 5}})
+        sections = [k for k, v in config_to_dict(default_config()).items()
+                    if isinstance(v, dict)]
+        assert len(sections) == 6
+        for section in sections:
+            with pytest.raises(ValueError, match=f"'typo' in section '{section}'"):
+                config_from_dict({section: {"typo": 1}})
+        with pytest.raises(ValueError, match="section 'gibbs' must be a mapping"):
+            config_from_dict({"gibbs": [1]})
 
     def test_dict_is_yaml_safe(self):
         doc = config_to_dict(default_config())

@@ -11,9 +11,15 @@ Core claims:
     - the auto selector dispatches on the product-space size
     - a combination whose allocation solve fails to converge scores as
       infeasible in both searchers instead of aborting the search
+    - Gibbs search that rejects proposals by the allocator's certified
+      bound returns exactly what it returns when every proposal is solved
+    - Gibbs slots of the default config's trial 0 match a recorded digest
+      bit for bit
 """
 
+import hashlib
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -23,11 +29,14 @@ from pytest import approx
 from instances import random_allocation_instance
 from qdnroute import selection
 from qdnroute.allocation import (
+    DominatedError,
     InfeasibleSelectionError,
     NoConvergenceError,
     PerSlotObjectiveParams,
     allocate,
 )
+from qdnroute.controller import POLICIES, ControllerState, run_slot
+from qdnroute.harness import default_config
 from qdnroute.model import (
     EdgeSpec,
     QdnGraph,
@@ -35,7 +44,7 @@ from qdnroute.model import (
     SlotCapacities,
     verify_feasible,
 )
-from qdnroute.routes import RouteConfig, SdRequest, build_requests
+from qdnroute.routes import CandidateCache, RouteConfig, SdRequest, build_requests
 from qdnroute.selection import (
     AllInfeasibleError,
     EnumerationCapError,
@@ -44,6 +53,12 @@ from qdnroute.selection import (
     gibbs_accept_prob,
     gibbs_select,
     select_routes,
+)
+from qdnroute.topology import (
+    STREAM_GIBBS,
+    generate_waxman,
+    sample_requests,
+    sample_slot_capacities,
 )
 
 
@@ -245,10 +260,10 @@ def fail_on(monkeypatch, bad_routes):
     """Make the selectors' allocator raise NoConvergenceError on one combination."""
     bad = [r.edges for r in bad_routes]
 
-    def flaky(graph, caps, routes, params):
+    def flaky(graph, caps, routes, params, **kwargs):
         if [r.edges for r in routes] == bad:
             raise NoConvergenceError("injected")
-        return allocate(graph, caps, routes, params)
+        return allocate(graph, caps, routes, params, **kwargs)
 
     monkeypatch.setattr(selection, "allocate", flaky)
 
@@ -301,7 +316,7 @@ class TestNoConvergencePolicy:
     def test_exhaustive_all_failed_is_all_infeasible(self, monkeypatch):
         g, caps, reqs = two_route_request()
 
-        def always(*args):
+        def always(*args, **kwargs):
             raise NoConvergenceError("injected")
 
         monkeypatch.setattr(selection, "allocate", always)
@@ -332,3 +347,80 @@ class TestNoConvergencePolicy:
             assert tuple(sel2[r.request_id] for r in reqs) != bad
             chosen = [r.candidates[sel2[r.request_id]] for r in reqs]
             assert verify_feasible(g, caps, chosen, alloc2).ok
+
+
+class TestBoundRejection:
+    def test_same_result_as_solving_every_proposal(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        cut = []
+
+        def counting(*args, **kwargs):
+            try:
+                return allocate(*args, **kwargs)
+            except DominatedError:
+                cut.append(1)
+                raise
+
+        def unbounded(graph, caps, routes, params, floor=-math.inf):
+            return allocate(graph, caps, routes, params)
+
+        def outcome(gibbs_params):
+            trace = []
+            try:
+                sel, alloc, f = gibbs_select(g, caps, reqs, params, gibbs_params, trace)
+            except AllInfeasibleError:
+                return None, trace
+            return (sel, sorted(alloc.items()), f.hex()), trace
+
+        pairs = 0
+        while pairs < 240:
+            g, caps, routes, params = random_allocation_instance(
+                rng, max_requests=4, with_cost_cap=pairs % 3 == 1)
+            reqs = build_requests(g, [(r.nodes[0], r.nodes[-1]) for r in routes],
+                                  RouteConfig(max_candidates=3, max_hops=4))
+            if not all(r.servable for r in reqs):
+                continue
+            gibbs_params = GibbsParams(gamma=float(10 ** rng.uniform(-1, 1.5)),
+                                       seed=pairs, batch_disjoint=pairs % 2 == 1)
+            with monkeypatch.context() as m:
+                m.setattr(selection, "allocate", counting)
+                got, trace = outcome(gibbs_params)
+            with monkeypatch.context() as m:
+                m.setattr(selection, "allocate", unbounded)
+                want, ref_trace = outcome(gibbs_params)
+            assert got == want
+            # Same proposals and decisions; a bound-rejected one has no value.
+            assert len(trace) == len(ref_trace)
+            for entry, ref in zip(trace, ref_trace):
+                assert entry[:3] + entry[4:] == ref[:3] + ref[4:]
+                assert entry[3] is None or entry[3] == ref[3]
+            pairs += 1
+        assert len(cut) > 100
+
+
+# SHA-256 of every slot below; update it only for a change that alters Gibbs
+# selections or allocations on purpose.
+PINNED_GIBBS_SHA256 = "1cc65a3ef29950ff1c0aef3890fdbbe772b5269f7294589b0affa2c90d5c98be"
+
+
+def test_gibbs_slots_pinned():
+    # The first 20 slots of the default config's trial 0 under every policy,
+    # with an enumeration cap of 2 so that every slot runs the Gibbs sampler.
+    cfg = default_config()
+    seed = cfg.seed
+    graph = generate_waxman(replace(cfg.topology, seed=seed), cfg.capacities)
+    cache = CandidateCache(graph, cfg.route)
+    h = hashlib.sha256()
+    for policy in cfg.policies:
+        state = ControllerState(q=cfg.budget.q0 if policy == "OSCAR" else 0.0,
+                                policy=policy)
+        for t in range(20):
+            caps = sample_slot_capacities(graph, cfg.capacities, t, seed)
+            reqs = build_requests(graph, sample_requests(graph, cfg.workload, t, seed),
+                                  cfg.route, cache)
+            gibbs = replace(cfg.gibbs, seed=[seed, STREAM_GIBBS, POLICIES.index(policy), t])
+            sel, alloc, record, state = run_slot(policy, graph, caps, reqs, state,
+                                                 cfg.budget, gibbs, 2)
+            items = sorted(alloc.items()) if alloc is not None else None
+            h.update(f"{policy}{t}:{sorted(sel.items())}:{items}:{record!r}\n".encode())
+    assert h.hexdigest() == PINNED_GIBBS_SHA256
