@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 from .allocation import Allocation, PerSlotObjectiveParams, delta_gap
@@ -84,105 +85,65 @@ def queue_update(q: float, cost: int, total_budget: int, horizon: int) -> float:
     return max(0.0, q + cost - total_budget / horizon)
 
 
-def _solve_slot(graph: QdnGraph, caps: SlotCapacities,
-                requests: Sequence[SdRequest], V: float, q: float,
-                cost_cap: int | None, gibbs: GibbsParams | None,
-                enumeration_cap: int,
-                ) -> tuple[RouteSelection, Allocation | None, float, tuple[float, ...], int]:
-    """Select and allocate for the servable requests of one slot.
+def run_slot(policy: str, graph: QdnGraph, caps: SlotCapacities,
+             requests: Sequence[SdRequest], state: ControllerState,
+             budget: BudgetParams, gibbs: GibbsParams | None = None,
+             enumeration_cap: int = 10_000,
+             ) -> tuple[RouteSelection, Allocation | None, SlotRecord, ControllerState]:
+    """One slot of ``policy``: select and allocate for the servable requests.
 
-    Returns (selection, allocation, utility, per-request success probs,
-    unserved count).  Requests without candidates are unserved; if the
-    joint problem is infeasible the whole slot goes unserved at zero cost.
+    OSCAR prices cost at the queue length q and then updates q; MF caps the
+    slot's cost at ``floor(C/T)``; MA caps it at the leftover budget spread
+    over the remaining slots.  Requests without candidates are unserved; if
+    the joint problem is infeasible the whole slot goes unserved at zero cost.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
+    if state.policy != policy:
+        raise ValueError(f"state carries policy {state.policy!r}, expected {policy}")
+    if policy == "OSCAR":
+        q, cost_cap = state.q, None
+    elif policy == "MF":
+        q, cost_cap = 0.0, budget.total_budget // budget.horizon
+    else:
+        remaining_slots = budget.horizon - state.slot
+        if remaining_slots < 1:
+            raise ValueError("controller ran past its horizon")
+        remaining = budget.total_budget - state.cumulative_cost
+        q, cost_cap = 0.0, max(0, remaining // remaining_slots)
+
+    selection, alloc, probs = {}, None, ()
     servable = [r for r in requests if r.servable]
-    unserved = len(requests) - len(servable)
-    if not servable:
-        return {}, None, 0.0, (), len(requests)
-    params = PerSlotObjectiveParams(V=V, q=q, cost_cap=cost_cap)
-    try:
-        selection, alloc, _ = select_routes(
-            graph, caps, servable, params, gibbs, enumeration_cap
-        )
-    except AllInfeasibleError:
-        return {}, None, 0.0, (), len(requests)
-    probs = []
-    utility = 0.0
-    for req in servable:
-        route = req.candidates[selection[req.request_id]]
-        p = route_success_prob(graph, route, alloc)
-        probs.append(p)
-        utility += math.log(p)
-    return selection, alloc, utility, tuple(probs), unserved
-
-
-def oscar_slot(graph: QdnGraph, caps: SlotCapacities,
-               requests: Sequence[SdRequest], state: ControllerState,
-               budget: BudgetParams, gibbs: GibbsParams | None = None,
-               enumeration_cap: int = 10_000,
-               ) -> tuple[RouteSelection, Allocation | None, SlotRecord, ControllerState]:
-    """One queue-priced slot: solve with q as the cost price, then update q."""
-    if state.policy != "OSCAR":
-        raise ValueError(f"state carries policy {state.policy!r}, expected OSCAR")
-    selection, alloc, utility, probs, unserved = _solve_slot(
-        graph, caps, requests, budget.V, state.q, None, gibbs, enumeration_cap
-    )
+    if servable:
+        params = PerSlotObjectiveParams(V=budget.V, q=q, cost_cap=cost_cap)
+        try:
+            selection, alloc, _ = select_routes(
+                graph, caps, servable, params, gibbs, enumeration_cap
+            )
+        except AllInfeasibleError:
+            pass
+        else:
+            probs = tuple(
+                route_success_prob(graph, r.candidates[selection[r.request_id]], alloc)
+                for r in servable
+            )
     cost = alloc.cost if alloc is not None else 0
-    new_q = queue_update(state.q, cost, budget.total_budget, budget.horizon)
-    record = SlotRecord(state.slot, state.policy, probs, utility, cost, new_q, unserved)
+    new_q, q_after = state.q, 0.0
+    if policy == "OSCAR":
+        new_q = q_after = queue_update(state.q, cost, budget.total_budget, budget.horizon)
+    utility = sum(map(math.log, probs), 0.0)
+    record = SlotRecord(state.slot, policy, probs, utility, cost, q_after,
+                        len(requests) - len(probs))
     new_state = replace(state, q=new_q, cumulative_cost=state.cumulative_cost + cost,
                         slot=state.slot + 1)
     return selection, alloc, record, new_state
 
 
-def mf_slot(graph: QdnGraph, caps: SlotCapacities,
-            requests: Sequence[SdRequest], state: ControllerState,
-            budget: BudgetParams, gibbs: GibbsParams | None = None,
-            enumeration_cap: int = 10_000,
-            ) -> tuple[RouteSelection, Allocation | None, SlotRecord, ControllerState]:
-    """Myopic slot under the fixed per-slot budget ``floor(C/T)``."""
-    if state.policy != "MF":
-        raise ValueError(f"state carries policy {state.policy!r}, expected MF")
-    cap = budget.total_budget // budget.horizon
-    selection, alloc, utility, probs, unserved = _solve_slot(
-        graph, caps, requests, budget.V, 0.0, cap, gibbs, enumeration_cap
-    )
-    cost = alloc.cost if alloc is not None else 0
-    record = SlotRecord(state.slot, state.policy, probs, utility, cost, 0.0, unserved)
-    new_state = replace(state, cumulative_cost=state.cumulative_cost + cost,
-                        slot=state.slot + 1)
-    return selection, alloc, record, new_state
-
-
-def ma_slot(graph: QdnGraph, caps: SlotCapacities,
-            requests: Sequence[SdRequest], state: ControllerState,
-            budget: BudgetParams, gibbs: GibbsParams | None = None,
-            enumeration_cap: int = 10_000,
-            ) -> tuple[RouteSelection, Allocation | None, SlotRecord, ControllerState]:
-    """Myopic slot with the leftover budget spread over remaining slots."""
-    if state.policy != "MA":
-        raise ValueError(f"state carries policy {state.policy!r}, expected MA")
-    remaining_slots = budget.horizon - state.slot
-    if remaining_slots < 1:
-        raise ValueError("controller ran past its horizon")
-    remaining = budget.total_budget - state.cumulative_cost
-    cap = max(0, remaining // remaining_slots)
-    selection, alloc, utility, probs, unserved = _solve_slot(
-        graph, caps, requests, budget.V, 0.0, cap, gibbs, enumeration_cap
-    )
-    cost = alloc.cost if alloc is not None else 0
-    record = SlotRecord(state.slot, state.policy, probs, utility, cost, 0.0, unserved)
-    new_state = replace(state, cumulative_cost=state.cumulative_cost + cost,
-                        slot=state.slot + 1)
-    return selection, alloc, record, new_state
-
-
-def run_slot(policy: str, *args, **kwargs):
-    """One slot of ``policy``; the remaining arguments go to its step function."""
-    steps = {"OSCAR": oscar_slot, "MF": mf_slot, "MA": ma_slot}
-    if policy not in steps:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
-    return steps[policy](*args, **kwargs)
+# One queue-priced slot; one slot under ``floor(C/T)``; one under the leftover
+# budget over the remaining slots.
+oscar_slot = partial(run_slot, "OSCAR")
+mf_slot = partial(run_slot, "MF")
+ma_slot = partial(run_slot, "MA")
 
 
 # ---------------------------------------------------------------------------

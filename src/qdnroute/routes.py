@@ -8,13 +8,9 @@ allocator's problem.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 
 from .model import QdnGraph, Route
-
-# Hard ceiling on paths enumerated while flushing a hop-count tie class.
-_ENUMERATION_SAFETY_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -43,91 +39,52 @@ class SdRequest:
         return bool(self.candidates)
 
 
-def _lex_shortest(graph: QdnGraph, src: int, dst: int,
-                  banned_nodes: frozenset[int],
-                  banned_edges: frozenset[int]) -> tuple[int, ...] | None:
-    """Minimum-hop simple path, lexicographically smallest among ties.
-
-    Heap keys are (hops, node sequence); the first time the destination is
-    popped its label is final for that ordering.
-    """
-    if src in banned_nodes or dst in banned_nodes:
-        return None
-    heap: list[tuple[int, tuple[int, ...]]] = [(0, (src,))]
-    done: set[int] = set()
-    while heap:
-        hops, path = heapq.heappop(heap)
-        tail = path[-1]
-        if tail == dst:
-            return path
-        if tail in done:
-            continue
-        done.add(tail)
-        for nbr, eid in graph.neighbors(tail):
-            if nbr in done or nbr in banned_nodes or eid in banned_edges:
-                continue
-            heapq.heappush(heap, (hops + 1, path + (nbr,)))
-    return None
-
-
 def candidate_routes(graph: QdnGraph, s: int, d: int,
                      config: RouteConfig) -> list[Route]:
     """Up to R loopless s->d paths of <= L hops, in (hops, nodes) order.
 
-    Yen-style deviation search over the lexicographic BFS core.  Because
-    equal-hop candidates can surface out of lexicographic order, the search
-    keeps accepting paths until the hop count strictly exceeds that of the
-    R-th best found so far, then sorts and truncates; the returned list is
-    exactly the top R of the full simple-path enumeration under the same
-    ordering.  An empty list means the pair is not servable within L hops.
+    Iterative-deepening DFS: for each hop count h from the s-d distance up
+    to L, walk simple paths from s in neighbor-id order and accept d only
+    at exactly h hops, so paths come out in (hops, nodes) order and the
+    first R found are exactly the top R of the full simple-path enumeration.
+    A BFS from d gives each node's hop distance to d, a lower bound on the
+    hops a path from it still needs, which prunes every branch that cannot
+    reach d in the hops left.  An empty list means the pair is not servable
+    within L hops.
     """
+    n = graph.node_count
+    if not (0 <= s < n and 0 <= d < n):
+        raise ValueError(f"endpoints ({s}, {d}) must be nodes in 0..{n - 1}")
     if s == d:
         raise ValueError("source and destination must differ")
     R, L = config.max_candidates, config.max_hops
-    first = _lex_shortest(graph, s, d, frozenset(), frozenset())
-    if first is None or len(first) - 1 > L:
-        return []
+    dist = [L + 1] * n  # L + 1: not within L hops of d
+    dist[d] = 0
+    frontier = [d]
+    for hops in range(1, L + 1):
+        reached = []
+        for v in frontier:
+            for nbr, _ in graph.neighbors(v):
+                if dist[nbr] > L:
+                    dist[nbr] = hops
+                    reached.append(nbr)
+        frontier = reached
 
-    accepted: list[tuple[int, ...]] = [first]
-    accepted_set = {first}
-    candidates: list[tuple[int, tuple[int, ...]]] = []
-    in_candidates: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
 
-    while len(accepted) < _ENUMERATION_SAFETY_CAP:
-        prev = accepted[-1]
-        for i in range(len(prev) - 1):
-            root = prev[: i + 1]
-            banned_edges = set()
-            for path in accepted:
-                if path[: i + 1] == root and len(path) > i + 1:
-                    banned_edges.add(graph.edge_id(path[i], path[i + 1]))
-            banned_nodes = frozenset(root[:-1])
-            spur = _lex_shortest(graph, root[-1], d, banned_nodes,
-                                 frozenset(banned_edges))
-            if spur is None:
-                continue
-            total = root[:-1] + spur
-            if len(total) - 1 > L:
-                continue
-            if total in accepted_set or total in in_candidates:
-                continue
-            heapq.heappush(candidates, (len(total) - 1, total))
-            in_candidates.add(total)
-        if not candidates:
-            break
-        hops, best = heapq.heappop(candidates)
-        in_candidates.discard(best)
-        # Stop once past the hop count of the current R-th choice: every
-        # remaining path is strictly worse under the ordering.
-        if len(accepted) >= R:
-            cutoff = sorted((len(p) - 1, p) for p in accepted)[R - 1][0]
-            if hops > cutoff:
-                break
-        accepted.append(best)
-        accepted_set.add(best)
+    def walk(path: tuple[int, ...], left: int) -> None:
+        for nbr, _ in graph.neighbors(path[-1]):
+            if len(found) == R:
+                return
+            if nbr == d:
+                if left == 1:
+                    found.append(path + (d,))
+            elif dist[nbr] < left and nbr not in path:
+                walk(path + (nbr,), left - 1)
 
-    ordered = sorted((len(p) - 1, p) for p in accepted)[:R]
-    return [Route.from_nodes(graph, nodes) for _, nodes in ordered]
+    for h in range(dist[s], L + 1):
+        walk((s,), h)
+    return [Route.from_nodes(graph, nodes) for nodes in found]
 
 
 class CandidateCache:

@@ -90,6 +90,7 @@ class TestOscarSlot:
         _, alloc, rec, new_state = oscar_slot(g, caps, [], state, budget)
         assert alloc is None
         assert rec.cost == 0
+        assert repr(rec.utility) == "0.0"
         assert new_state.q == approx(40.0 - 25.0)
 
     def test_large_queue_forces_all_ones(self):
@@ -118,10 +119,12 @@ class TestBaselineSlots:
     def test_mf_cap_arithmetic_and_hardness(self):
         g, caps, reqs = small_world()
         budget = BudgetParams(5000, 200, V=2500.0)
-        state = ControllerState(q=0.0, policy="MF")
-        _, alloc, rec, _ = mf_slot(g, caps, reqs, state, budget)
+        # MF neither prices by nor updates a queue length it is handed
+        state = ControllerState(q=7.0, policy="MF")
+        _, alloc, rec, new_state = mf_slot(g, caps, reqs, state, budget)
         assert budget.total_budget // budget.horizon == 25
         assert rec.cost <= 25
+        assert rec.q_after == 0.0 and new_state.q == 7.0
 
     def test_mf_unserved_when_cap_below_cheapest(self):
         g, caps, reqs = small_world()

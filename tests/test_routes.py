@@ -8,11 +8,21 @@ Core claims:
     - every returned route is simple, endpoint-correct, and within the hop
       bound; unreachable pairs give an empty list
     - output is deterministic and the cache binds request ids correctly
+    - candidate sets on the default topologies and a 100-node one match a
+      recorded digest
+    - an endpoint outside the graph's nodes raises ValueError
+    - the cache looks up ``routes.candidate_routes`` once per new pair and
+      never on a hit, through the module attribute a tracer can wrap
 """
+
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qdnroute import routes
+from qdnroute.harness import calibrate_beta, default_config
 from qdnroute.model import EdgeSpec, QdnGraph
 from qdnroute.routes import (
     CandidateCache,
@@ -20,6 +30,7 @@ from qdnroute.routes import (
     build_requests,
     candidate_routes,
 )
+from qdnroute.topology import generate_waxman
 
 
 def graph_from_pairs(n, pairs):
@@ -74,6 +85,13 @@ def test_same_endpoints_rejected():
         candidate_routes(g, 1, 1, RouteConfig())
 
 
+@pytest.mark.parametrize("s, d", [(0, 4), (0, 99), (0, -1), (-1, 0), (4, 0)])
+def test_endpoint_outside_graph_rejected(s, d):
+    g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"0\.\.3"):
+        candidate_routes(g, s, d, RouteConfig())
+
+
 def random_graph(rng, n):
     pairs = {(int(rng.integers(i)), i) for i in range(1, n)}  # random spanning tree
     extra = rng.integers(0, n)
@@ -87,18 +105,18 @@ def random_graph(rng, n):
 def test_matches_enumeration_oracle_on_random_graphs():
     rng = np.random.default_rng(99)
     checked = 0
-    for _ in range(150):
-        n = int(rng.integers(4, 9))
+    for _ in range(400):
+        n = int(rng.integers(4, 10))
         g = random_graph(rng, n)
         s, d = (int(x) for x in rng.choice(n, size=2, replace=False))
-        R = int(rng.integers(1, 5))
-        L = int(rng.integers(1, 7))
+        R = int(rng.integers(1, 9))
+        L = int(rng.integers(1, 9))
         cfg = RouteConfig(max_candidates=R, max_hops=L)
         got = [r.nodes for r in candidate_routes(g, s, d, cfg)]
         expect = enumerate_simple_paths(g, s, d, L)[:R]
         assert got == expect, (n, s, d, R, L, sorted(g.edges))
         checked += 1
-    assert checked == 150
+    assert checked == 400
 
 
 def test_route_invariants_hold():
@@ -133,3 +151,51 @@ def test_build_requests_binds_ids_and_caches():
     assert reqs[0].candidates[0].request_id == 0
     assert reqs[1].candidates[0].request_id == 1
     assert all(r.servable for r in reqs)
+
+
+def test_cache_looks_up_each_new_pair_once(monkeypatch):
+    calls = []
+    inner = routes.candidate_routes
+
+    def counting(graph, s, d, config):
+        calls.append((s, d))
+        return inner(graph, s, d, config)
+
+    monkeypatch.setattr(routes, "candidate_routes", counting)
+    g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cfg = RouteConfig(max_candidates=2, max_hops=3)
+    cache = CandidateCache(g, cfg)
+    build_requests(g, [(0, 2), (0, 2), (1, 3), (2, 0)], cfg, cache)
+    assert calls == [(0, 2), (1, 3), (2, 0)]
+    cache.get(1, 3)
+    build_requests(g, [(2, 0), (0, 2)], cfg, cache)
+    assert calls == [(0, 2), (1, 3), (2, 0)]
+
+
+# SHA-256 of the candidate sets below; update it only for a change that alters
+# candidate routes on purpose.
+PINNED_CANDIDATES_SHA256 = "a0418094923040eebbef6b1742a72941f37c7bae776ca9781f1e808bbe4190ca"
+
+
+def test_candidates_pinned():
+    # Every ordered pair of the default config's trial 0 and 1 topologies, and
+    # the pairs from every fifth source of a 100-node topology with beta
+    # calibrated to mean degree 4, as ``qdnroute sweep --param node_count``
+    # builds it.
+    cfg = default_config()
+    topo = cfg.topology
+    graphs = [generate_waxman(replace(topo, seed=cfg.seed + k), cfg.capacities)
+              for k in (0, 1)]
+    wide = replace(topo, node_count=100, seed=cfg.seed,
+                   beta=calibrate_beta(100, topo.alpha, topo.side))
+    graphs.append(generate_waxman(wide, cfg.capacities))
+    h = hashlib.sha256()
+    for k, g in enumerate(graphs):
+        n = g.node_count
+        for rc in (RouteConfig(3, 6), RouteConfig(10, 8)):
+            for s in range(0, n, n // 20):
+                for d in range(n):
+                    if s != d:
+                        nodes = [r.nodes for r in candidate_routes(g, s, d, rc)]
+                        h.update(f"{k}:{rc}:{s},{d}:{nodes}\n".encode())
+    assert h.hexdigest() == PINNED_CANDIDATES_SHA256
