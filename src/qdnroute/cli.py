@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import bound_summary
-from .harness import load_config, run_experiment, sweep
+from .harness import SWEEPABLE, load_config, run_experiment, sweep
 from .model import (
     Allocation,
     Route,
@@ -45,7 +45,7 @@ def cmd_topology(args) -> int:
     cfg = _load(args)
     topo = replace(cfg.topology, seed=cfg.seed)
     graph = generate_waxman(topo, cfg.capacities)
-    degrees = [len(ids) for ids in graph.incident]
+    degrees = [len(graph.neighbors(v)) for v in range(graph.node_count)]
     if args.out:
         save_graph(graph, args.out)
         print(f"wrote {args.out}")
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="sweep one parameter")
     _add_common(p)
-    p.add_argument("--param", required=True, choices=["C", "node_count", "V", "q0"])
+    p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--policy", default=None)

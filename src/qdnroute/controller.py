@@ -16,9 +16,10 @@ from functools import partial
 from typing import Sequence
 
 from .allocation import Allocation, PerSlotObjectiveParams, delta_gap
-from .model import QdnGraph, SlotCapacities, route_success_prob
+from .model import QdnGraph, SlotCapacities, route_success_prob, verify_feasible
 from .routes import SdRequest
 from .selection import (
+    DEFAULT_ENUMERATION_CAP,
     AllInfeasibleError,
     GibbsParams,
     RouteSelection,
@@ -88,7 +89,7 @@ def queue_update(q: float, cost: int, total_budget: int, horizon: int) -> float:
 def run_slot(policy: str, graph: QdnGraph, caps: SlotCapacities,
              requests: Sequence[SdRequest], state: ControllerState,
              budget: BudgetParams, gibbs: GibbsParams | None = None,
-             enumeration_cap: int = 10_000,
+             enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
              ) -> tuple[RouteSelection, Allocation | None, SlotRecord, ControllerState]:
     """One slot of ``policy``: select and allocate for the servable requests.
 
@@ -96,6 +97,8 @@ def run_slot(policy: str, graph: QdnGraph, caps: SlotCapacities,
     slot's cost at ``floor(C/T)``; MA caps it at the leftover budget spread
     over the remaining slots.  Requests without candidates are unserved; if
     the joint problem is infeasible the whole slot goes unserved at zero cost.
+    A committed allocation that breaks a capacity or the cap is a program
+    defect and raises RuntimeError.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
@@ -123,10 +126,14 @@ def run_slot(policy: str, graph: QdnGraph, caps: SlotCapacities,
         except AllInfeasibleError:
             pass
         else:
-            probs = tuple(
-                route_success_prob(graph, r.candidates[selection[r.request_id]], alloc)
-                for r in servable
-            )
+            routes = [r.candidates[selection[r.request_id]] for r in servable]
+            report = verify_feasible(graph, caps, routes, alloc)
+            if not report or (cost_cap is not None and alloc.cost > cost_cap):
+                raise RuntimeError(
+                    f"{policy} slot {state.slot} committed an infeasible allocation: "
+                    f"node (id, load, cap) {report.node_violations}, edge (id, load, cap) "
+                    f"{report.edge_violations}, cost {alloc.cost} against cap {cost_cap}")
+            probs = tuple(route_success_prob(graph, route, alloc) for route in routes)
     cost = alloc.cost if alloc is not None else 0
     new_q, q_after = state.q, 0.0
     if policy == "OSCAR":

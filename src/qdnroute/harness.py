@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .controller import (
     run_slot,
 )
 from .routes import CandidateCache, RouteConfig, build_requests
-from .selection import GibbsParams
+from .selection import DEFAULT_ENUMERATION_CAP, GibbsParams
 from .topology import (
     STREAM_GIBBS,
     CapacityDistributions,
@@ -46,26 +46,35 @@ SWEEPABLE = ("C", "node_count", "V", "q0")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; ``default_config()`` gives the stock setup."""
+    """Everything a run needs; ``default_config()`` gives the stock setup.
 
+    ``config_to_dict`` writes the fields in this order, sections last.
+    """
+
+    seed: int = 0
+    trials: int = 5
+    policies: tuple[str, ...] = ("OSCAR", "MA", "MF")
+    workers: int = 0  # 0 = one per CPU, capped at the trial count
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     topology: WaxmanParams = field(default_factory=WaxmanParams)
     capacities: CapacityDistributions = field(default_factory=CapacityDistributions)
     workload: WorkloadParams = field(default_factory=WorkloadParams)
     route: RouteConfig = field(default_factory=RouteConfig)
     budget: BudgetParams = field(default_factory=lambda: BudgetParams(5000, 200, 2500.0, 10.0))
     gibbs: GibbsParams = field(default_factory=GibbsParams)
-    policies: tuple[str, ...] = ("OSCAR", "MA", "MF")
-    trials: int = 5
-    seed: int = 0
-    enumeration_cap: int = 10_000
-    workers: int = 0  # 0 = one per CPU, capped at the trial count
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0 (0 = one per CPU)")
+        if not self.policies:
+            raise ValueError("policies must name at least one policy")
         for p in self.policies:
             if p not in POLICIES:
                 raise ValueError(f"unknown policy {p!r}")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError(f"policies must not repeat: {list(self.policies)}")
 
 
 def default_config() -> ExperimentConfig:
@@ -73,122 +82,45 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(topology=WaxmanParams(degree_band=(3.5, 4.5)))
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "policies": list(cfg.policies),
-        "workers": cfg.workers,
-        "enumeration_cap": cfg.enumeration_cap,
-        "topology": {
-            "node_count": cfg.topology.node_count,
-            "alpha": cfg.topology.alpha,
-            "beta": cfg.topology.beta,
-            "side": cfg.topology.side,
-            "degree_band": list(cfg.topology.degree_band)
-            if cfg.topology.degree_band else None,
-        },
-        "capacities": {
-            "qubit_range": list(cfg.capacities.qubit_range),
-            "channel_range": list(cfg.capacities.channel_range),
-            "fluctuation": cfg.capacities.fluctuation,
-            "p_attempt": cfg.capacities.p_attempt,
-            "attempts": cfg.capacities.attempts,
-        },
-        "workload": {
-            "sd_range": list(cfg.workload.sd_range),
-            "f_max": cfg.workload.f_max,
-        },
-        "route": {
-            "max_candidates": cfg.route.max_candidates,
-            "max_hops": cfg.route.max_hops,
-        },
-        "budget": {
-            "total_budget": cfg.budget.total_budget,
-            "horizon": cfg.budget.horizon,
-            "V": cfg.budget.V,
-            "q0": cfg.budget.q0,
-        },
-        "gibbs": {
-            "gamma": cfg.gibbs.gamma,
-            "max_iters": cfg.gibbs.max_iters,
-            "stability_window": cfg.gibbs.stability_window,
-            "batch_disjoint": cfg.gibbs.batch_disjoint,
-        },
-    }
+def _config_fields(obj) -> list[str]:
+    # A section's seed (topology, gibbs) is drawn per trial by _run_trial.
+    return [f.name for f in fields(obj)
+            if f.name != "seed" or isinstance(obj, ExperimentConfig)]
 
 
-def _reject_unknown_keys(doc: dict, known: dict) -> None:
-    """Raise ValueError for a key of ``doc`` that ``known`` lacks, at the
-    top level or inside a section (a mapping-valued key of ``known``)."""
-    for key, value in doc.items():
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r} at the top level")
-        if isinstance(known[key], dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"config section {key!r} must be a mapping")
-            for sub in value:
-                if sub not in known[key]:
-                    raise ValueError(f"unknown config key {sub!r} in section {key!r}")
+def config_to_dict(cfg) -> dict:
+    """Fields in declaration order; sections nest, tuples become lists."""
+    out = {}
+    for name in _config_fields(cfg):
+        value = getattr(cfg, name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Config from a ``config_to_dict``-shaped mapping; missing keys take
     their default values and unknown keys raise ValueError."""
-    base = default_config()
-    _reject_unknown_keys(doc, config_to_dict(base))
-    topo = doc.get("topology", {})
-    caps = doc.get("capacities", {})
-    work = doc.get("workload", {})
-    route = doc.get("route", {})
-    budget = doc.get("budget", {})
-    gibbs = doc.get("gibbs", {})
+    return _replace_from(default_config(), doc, None)
 
-    def pick(section: dict, key: str, fallback):
-        return section[key] if key in section else fallback
 
-    band = pick(topo, "degree_band", base.topology.degree_band)
-    return ExperimentConfig(
-        topology=WaxmanParams(
-            node_count=pick(topo, "node_count", base.topology.node_count),
-            alpha=pick(topo, "alpha", base.topology.alpha),
-            beta=pick(topo, "beta", base.topology.beta),
-            side=pick(topo, "side", base.topology.side),
-            degree_band=tuple(band) if band else None,
-        ),
-        capacities=CapacityDistributions(
-            qubit_range=tuple(pick(caps, "qubit_range", base.capacities.qubit_range)),
-            channel_range=tuple(pick(caps, "channel_range", base.capacities.channel_range)),
-            fluctuation=pick(caps, "fluctuation", base.capacities.fluctuation),
-            p_attempt=pick(caps, "p_attempt", base.capacities.p_attempt),
-            attempts=pick(caps, "attempts", base.capacities.attempts),
-        ),
-        workload=WorkloadParams(
-            sd_range=tuple(pick(work, "sd_range", base.workload.sd_range)),
-            f_max=pick(work, "f_max", base.workload.f_max),
-        ),
-        route=RouteConfig(
-            max_candidates=pick(route, "max_candidates", base.route.max_candidates),
-            max_hops=pick(route, "max_hops", base.route.max_hops),
-        ),
-        budget=BudgetParams(
-            total_budget=pick(budget, "total_budget", base.budget.total_budget),
-            horizon=pick(budget, "horizon", base.budget.horizon),
-            V=pick(budget, "V", base.budget.V),
-            q0=pick(budget, "q0", base.budget.q0),
-        ),
-        gibbs=GibbsParams(
-            gamma=pick(gibbs, "gamma", base.gibbs.gamma),
-            max_iters=pick(gibbs, "max_iters", base.gibbs.max_iters),
-            stability_window=pick(gibbs, "stability_window", base.gibbs.stability_window),
-            batch_disjoint=pick(gibbs, "batch_disjoint", base.gibbs.batch_disjoint),
-        ),
-        policies=tuple(doc.get("policies", base.policies)),
-        trials=doc.get("trials", base.trials),
-        seed=doc.get("seed", base.seed),
-        enumeration_cap=doc.get("enumeration_cap", base.enumeration_cap),
-        workers=doc.get("workers", base.workers),
-    )
+def _replace_from(base, doc: dict, section: str | None):
+    """``base`` updated from ``doc``, the top-level mapping or ``section``'s."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config section {section!r} must be a mapping" if section
+                         else f"config must be a mapping, got {type(doc).__name__}")
+    known = _config_fields(base)
+    changes = {}
+    for key, value in doc.items():
+        if key not in known:
+            where = f"in section {section!r}" if section else "at the top level"
+            raise ValueError(f"unknown config key {key!r} {where}")
+        current = getattr(base, key)
+        if is_dataclass(current):
+            value = _replace_from(current, value, key)
+        changes[key] = tuple(value) if isinstance(value, list) else value
+    return replace(base, **changes)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -198,8 +130,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     import yaml  # deferred: single-process runs that never read YAML skip its import
 
     with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
-    return config_from_dict(doc)
+        doc = yaml.safe_load(fh)
+    return config_from_dict({} if doc is None else doc)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:

@@ -82,7 +82,9 @@ class QdnGraph:
     p_edge: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # log of per-channel failure probability, cached for the allocator
     log_fail: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    incident: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # node -> (neighbor, edge id) pairs sorted by neighbor id
+    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False)
     # (u, v) with u < v -> edge id
     edge_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
@@ -94,7 +96,7 @@ class QdnGraph:
             raise ValueError("qubit capacities must be >= 0")
         normalized = []
         edge_index: dict[tuple[int, int], int] = {}
-        incident: list[list[int]] = [[] for _ in range(n)]
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
             u, v = (e.u, e.v) if e.u < e.v else (e.v, e.u)
             if u == v:
@@ -107,8 +109,8 @@ class QdnGraph:
             if e.channels < 0:
                 raise ValueError("channel capacity must be >= 0")
             normalized.append(EdgeSpec(u, v, e.channels, e.p_attempt, e.attempts))
-            incident[u].append(eid)
-            incident[v].append(eid)
+            adjacency[u].append((v, eid))
+            adjacency[v].append((u, eid))
         object.__setattr__(self, "edges", tuple(normalized))
         p_edge = tuple(channel_success_prob(e.p_attempt, e.attempts) for e in self.edges)
         object.__setattr__(self, "p_edge", p_edge)
@@ -119,7 +121,7 @@ class QdnGraph:
             "log_fail",
             tuple(-700.0 if p == 1.0 else max(math.log1p(-p), -700.0) for p in p_edge),
         )
-        object.__setattr__(self, "incident", tuple(tuple(ids) for ids in incident))
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adjacency))
         object.__setattr__(self, "edge_index", edge_index)
 
     @property
@@ -134,14 +136,9 @@ class QdnGraph:
         """Id of the edge joining nodes ``a`` and ``b``; KeyError if none does."""
         return self.edge_index[(a, b) if a < b else (b, a)]
 
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
+    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, edge id) pairs of node ``v``, sorted by neighbor id."""
-        out = []
-        for eid in self.incident[v]:
-            e = self.edges[eid]
-            out.append((e.v if e.u == v else e.u, eid))
-        out.sort()
-        return out
+        return self.adjacency[v]
 
 
 @dataclass(frozen=True)
@@ -276,25 +273,20 @@ def verify_feasible(graph: QdnGraph, caps: SlotCapacities,
     it, summed across requests; an edge's load sums the channels that all
     requests place on it.
     """
-    node_load = [0] * graph.node_count
-    edge_load = [0] * graph.edge_count
+    # Loads of touched nodes and edges only: the controller runs this every slot.
+    node_load: dict[int, int] = {}
+    edge_load: dict[int, int] = {}
     for route in routes:
         for eid in route.edges:
             n = alloc.get(route.request_id, eid)
             e = graph.edges[eid]
-            node_load[e.u] += n
-            node_load[e.v] += n
-            edge_load[eid] += n
-    node_bad = tuple(
-        (v, load, cap)
-        for v, (load, cap) in enumerate(zip(node_load, caps.q_caps))
-        if load > cap
-    )
-    edge_bad = tuple(
-        (eid, load, cap)
-        for eid, (load, cap) in enumerate(zip(edge_load, caps.w_caps))
-        if load > cap
-    )
+            node_load[e.u] = node_load.get(e.u, 0) + n
+            node_load[e.v] = node_load.get(e.v, 0) + n
+            edge_load[eid] = edge_load.get(eid, 0) + n
+    node_bad = tuple((v, load, caps.q_caps[v]) for v, load in sorted(node_load.items())
+                     if load > caps.q_caps[v])
+    edge_bad = tuple((eid, load, caps.w_caps[eid]) for eid, load in sorted(edge_load.items())
+                     if load > caps.w_caps[eid])
     return FeasibilityReport(not node_bad and not edge_bad, node_bad, edge_bad)
 
 

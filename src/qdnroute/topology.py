@@ -54,8 +54,9 @@ class WaxmanParams:
             raise ValueError("alpha and beta must lie in (0, 1]")
         if self.side <= 0:
             raise ValueError("side must be positive")
-        if self.degree_band is not None and self.degree_band[0] > self.degree_band[1]:
-            raise ValueError("degree_band must be (lo, hi) with lo <= hi")
+        band = self.degree_band
+        if band is not None and (len(band) != 2 or band[0] > band[1]):
+            raise ValueError(f"degree_band must be null or (lo, hi) with lo <= hi, got {band}")
 
 
 @dataclass(frozen=True)

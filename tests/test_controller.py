@@ -11,13 +11,17 @@ Core claims:
     - the feasibility assumption check is exact arithmetic
     - run_slot rejects an unknown policy with a ValueError naming the
       known ones
+    - run_slot refuses to commit an allocation that breaks a capacity or
+      the slot's cost cap
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from pytest import approx
 
+from qdnroute import controller
 from qdnroute.allocation import delta_gap
 from qdnroute.controller import (
     BudgetParams,
@@ -34,7 +38,7 @@ from qdnroute.controller import (
     theorem1_rhs,
     theorem2_gap,
 )
-from qdnroute.model import EdgeSpec, QdnGraph, SlotCapacities
+from qdnroute.model import Allocation, EdgeSpec, QdnGraph, SlotCapacities
 from qdnroute.routes import RouteConfig, build_requests
 from qdnroute.topology import (
     CapacityDistributions,
@@ -167,6 +171,37 @@ class TestBaselineSlots:
         _, a_mf, _, _ = mf_slot(g, caps, reqs, ControllerState(q=0.0, policy="MF"), huge)
         _, a_ma, _, _ = ma_slot(g, caps, reqs, ControllerState(q=0.0, policy="MA"), huge)
         assert dict(a_oscar.items()) == dict(a_mf.items()) == dict(a_ma.items())
+
+
+class TestCommitCheck:
+    """A faulty selection layer must stop the run, not be recorded."""
+
+    def test_over_capacity_allocation_raises(self, monkeypatch):
+        g, caps, reqs = small_world()
+        real = controller.select_routes
+
+        def overfull(*args):
+            sel, alloc, f = real(*args)
+            return sel, Allocation({k: n + 100 for k, n in alloc.items()}), f
+
+        monkeypatch.setattr(controller, "select_routes", overfull)
+        budget = BudgetParams(5000, 200, V=2500.0)
+        with pytest.raises(RuntimeError, match=r"OSCAR slot 0 committed an infeasible .*edge"):
+            oscar_slot(g, caps, reqs, ControllerState(q=10.0, policy="OSCAR"), budget)
+
+    def test_cost_over_cap_raises(self, monkeypatch):
+        g, caps, reqs = small_world()
+        real = controller.select_routes
+
+        def uncapped(graph, caps, requests, params, *rest):
+            return real(graph, caps, requests, replace(params, cost_cap=None), *rest)
+
+        monkeypatch.setattr(controller, "select_routes", uncapped)
+        mf = ControllerState(q=0.0, policy="MF")
+        _, alloc, _, _ = mf_slot(g, caps, reqs, mf, BudgetParams(10**6, 200, V=2500.0))
+        cap = alloc.cost - 1
+        with pytest.raises(RuntimeError, match=f"cost {alloc.cost} against cap {cap}"):
+            mf_slot(g, caps, reqs, mf, BudgetParams(200 * cap, 200, V=2500.0))
 
 
 class TestBounds:

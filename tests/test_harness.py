@@ -2,7 +2,10 @@
 
 Core claims:
     - configs round-trip through YAML and the 'default' name resolves;
-      unknown keys raise ValueError naming the key and its section
+      unknown keys raise ValueError naming the key and its section; the
+      written YAML is pinned byte for byte
+    - malformed configs (not a mapping, bad degree band, negative worker
+      count, empty or repeated policy list) raise ValueError
     - run_experiment writes the documented CSV schemas and byte-identical
       outputs on repeated runs, independent of the worker count
     - policies within a trial see identical request streams (paired design)
@@ -14,10 +17,14 @@ Core claims:
 """
 
 import csv
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdnroute.cli import main as cli_main
 from qdnroute.harness import (
@@ -35,7 +42,7 @@ from qdnroute.harness import (
     save_config,
     sweep,
 )
-from qdnroute.controller import BudgetParams
+from qdnroute.controller import POLICIES, BudgetParams
 from qdnroute.routes import RouteConfig
 from qdnroute.selection import GibbsParams
 from qdnroute.topology import CapacityDistributions, WaxmanParams, WorkloadParams, generate_waxman
@@ -54,6 +61,86 @@ def tiny_config(**overrides) -> ExperimentConfig:
         workers=1,
     )
     return replace(base, **overrides)
+
+
+# save_config text of default_config() and of OTHER_CONFIG, recorded before
+# the YAML mapping was derived from the dataclass fields.
+DEFAULT_YAML = (
+    "seed: 0\ntrials: 5\npolicies:\n- OSCAR\n- MA\n- MF\nworkers: 0\n"
+    "enumeration_cap: 10000\ntopology:\n  node_count: 20\n  alpha: 0.5\n"
+    "  beta: 0.5\n  side: 100.0\n  degree_band:\n  - 3.5\n  - 4.5\n"
+    "capacities:\n  qubit_range:\n  - 10\n  - 16\n  channel_range:\n  - 5\n"
+    "  - 8\n  fluctuation: static\n  p_attempt: 0.0002\n  attempts: 4000\n"
+    "workload:\n  sd_range:\n  - 1\n  - 5\n  f_max: 5\nroute:\n"
+    "  max_candidates: 3\n  max_hops: 6\nbudget:\n  total_budget: 5000\n"
+    "  horizon: 200\n  V: 2500.0\n  q0: 10.0\ngibbs:\n  gamma: 500.0\n"
+    "  max_iters: null\n  stability_window: null\n  batch_disjoint: false\n"
+)
+OTHER_CONFIG = ExperimentConfig(
+    topology=WaxmanParams(node_count=12, alpha=0.25, beta=0.75, side=50.0, seed=9,
+                          degree_band=None),
+    capacities=CapacityDistributions(qubit_range=(4, 9), channel_range=(2, 3),
+                                     fluctuation="redraw", p_attempt=1e-05, attempts=250),
+    workload=WorkloadParams(sd_range=(0, 2), f_max=3),
+    route=RouteConfig(max_candidates=4, max_hops=5),
+    budget=BudgetParams(total_budget=900, horizon=30, V=12.5, q0=0.0),
+    gibbs=GibbsParams(gamma=0.5, max_iters=40, stability_window=3, seed=[7, 3],
+                      batch_disjoint=True),
+    policies=("MA", "OSCAR"), trials=3, seed=41, enumeration_cap=64, workers=2,
+)
+OTHER_YAML = (
+    "seed: 41\ntrials: 3\npolicies:\n- MA\n- OSCAR\nworkers: 2\n"
+    "enumeration_cap: 64\ntopology:\n  node_count: 12\n  alpha: 0.25\n"
+    "  beta: 0.75\n  side: 50.0\n  degree_band: null\ncapacities:\n"
+    "  qubit_range:\n  - 4\n  - 9\n  channel_range:\n  - 2\n  - 3\n"
+    "  fluctuation: redraw\n  p_attempt: 1.0e-05\n  attempts: 250\n"
+    "workload:\n  sd_range:\n  - 0\n  - 2\n  f_max: 3\nroute:\n"
+    "  max_candidates: 4\n  max_hops: 5\nbudget:\n  total_budget: 900\n"
+    "  horizon: 30\n  V: 12.5\n  q0: 0.0\ngibbs:\n  gamma: 0.5\n"
+    "  max_iters: 40\n  stability_window: 3\n  batch_disjoint: true\n"
+)
+
+
+def _range(lo: int, hi: int):
+    """Ordered (lo, hi) integer pairs inside [lo, hi]."""
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(lambda p: tuple(sorted(p)))
+
+
+@st.composite
+def configs(draw):
+    """Valid configs over every field, nested seeds included."""
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    maybe_count = st.none() | st.integers(1, 10**6)
+    band = st.none() | st.tuples(positive, positive).map(lambda p: tuple(sorted(p)))
+    f_max = draw(st.integers(0, 50))
+    policies = draw(st.permutations(POLICIES).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))))
+    return ExperimentConfig(
+        seed=draw(st.integers(0, 2**32)),
+        trials=draw(st.integers(1, 1000)),
+        policies=policies,
+        workers=draw(st.integers(0, 64)),
+        enumeration_cap=draw(st.integers(1, 10**9)),
+        topology=WaxmanParams(
+            node_count=draw(st.integers(2, 10**4)), alpha=draw(unit), beta=draw(unit),
+            side=draw(positive), seed=draw(st.integers(0, 2**32)), degree_band=draw(band)),
+        capacities=CapacityDistributions(
+            qubit_range=draw(_range(1, 10**4)), channel_range=draw(_range(1, 10**4)),
+            fluctuation=draw(st.sampled_from(["static", "redraw"])),
+            p_attempt=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            attempts=draw(st.integers(1, 10**9))),
+        workload=WorkloadParams(sd_range=draw(_range(0, f_max)), f_max=f_max),
+        route=RouteConfig(max_candidates=draw(st.integers(1, 100)),
+                          max_hops=draw(st.integers(1, 100))),
+        budget=BudgetParams(
+            total_budget=draw(st.integers(1, 10**12)), horizon=draw(st.integers(1, 10**6)),
+            V=draw(positive), q0=draw(st.floats(min_value=0.0, allow_infinity=False))),
+        gibbs=GibbsParams(
+            gamma=draw(positive), max_iters=draw(maybe_count),
+            stability_window=draw(maybe_count), seed=draw(st.integers(0, 2**32)),
+            batch_disjoint=draw(st.booleans())),
+    )
 
 
 class TestConfig:
@@ -92,6 +179,10 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="'seeds' at the top level"):
             config_from_dict({"seeds": 3})
+        # per-trial seeds are drawn by the harness, not configured
+        for section in ("topology", "gibbs"):
+            with pytest.raises(ValueError, match=f"'seed' in section '{section}'"):
+                config_from_dict({section: {"seed": 1}})
         # a misspelled key must not silently fall back to its default
         with pytest.raises(ValueError, match="'Q0' in section 'budget'"):
             config_from_dict({"budget": {"Q0": 5}})
@@ -103,6 +194,44 @@ class TestConfig:
                 config_from_dict({section: {"typo": 1}})
         with pytest.raises(ValueError, match="section 'gibbs' must be a mapping"):
             config_from_dict({"gibbs": [1]})
+
+    @pytest.mark.parametrize("doc", [[1, 2], 5, "seed: 1"])
+    def test_non_mapping_rejected(self, doc):
+        with pytest.raises(ValueError, match="config must be a mapping"):
+            config_from_dict(doc)
+
+    def test_non_mapping_yaml_rejected(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("- 1\n- 2\n")
+        with pytest.raises(ValueError, match="config must be a mapping, got list"):
+            load_config(path)
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"topology": {"degree_band": []}}, "degree_band"),
+        ({"topology": {"degree_band": [4.0]}}, "degree_band"),
+        ({"workers": -3}, "workers"),
+        ({"policies": []}, "at least one policy"),
+        ({"policies": ["OSCAR", "MA", "OSCAR"]}, "must not repeat"),
+    ])
+    def test_invalid_values_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            config_from_dict(doc)
+
+    def test_config_yaml_pinned(self, tmp_path):
+        save_config(default_config(), tmp_path / "default.yaml")
+        assert (tmp_path / "default.yaml").read_text() == DEFAULT_YAML
+        save_config(OTHER_CONFIG, tmp_path / "other.yaml")
+        assert (tmp_path / "other.yaml").read_text() == OTHER_YAML
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=configs())
+    def test_yaml_roundtrip_property(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.yaml"
+            save_config(cfg, path)
+            loaded = load_config(path)
+        assert loaded == replace(cfg, topology=replace(cfg.topology, seed=0),
+                                 gibbs=replace(cfg.gibbs, seed=0))
 
     def test_dict_is_yaml_safe(self):
         doc = config_to_dict(default_config())
@@ -273,6 +402,10 @@ class TestCli:
         code = cli_main(["validate", "--samples", "20000", "--instances", "5", "--seed", "2"])
         assert code == 0
         assert "within 3 sigma" in capsys.readouterr().out
+
+    def test_repeated_policy_rejected(self):
+        with pytest.raises(ValueError, match="must not repeat"):
+            cli_main(["run", "--policy", "OSCAR,OSCAR", "--trials", "1"])
 
     def test_sweep_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

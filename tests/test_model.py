@@ -244,10 +244,13 @@ class TestVerifyFeasible:
                 load <= caps.w_caps[e] for e, load in edge_load.items()
             )
             assert report.ok == expect_ok
-            for v, load, cap in report.node_violations:
-                assert node_load[v] == load and caps.q_caps[v] == cap and load > cap
-            for e, load, cap in report.edge_violations:
-                assert edge_load[e] == load and caps.w_caps[e] == cap and load > cap
+            # every violation, in id order
+            assert report.node_violations == tuple(
+                (v, load, caps.q_caps[v]) for v, load in sorted(node_load.items())
+                if load > caps.q_caps[v])
+            assert report.edge_violations == tuple(
+                (e, load, caps.w_caps[e]) for e, load in sorted(edge_load.items())
+                if load > caps.w_caps[e])
 
 
 class TestMonteCarlo:
@@ -290,6 +293,14 @@ class TestTypes:
         assert g.edge_id(2, 1) == 1
         with pytest.raises(KeyError):
             g.edge_id(0, 2)
+
+    def test_neighbors_sorted_and_built_once(self):
+        # edges listed out of neighbor order at node 2
+        g = QdnGraph((1,) * 4, (EdgeSpec(2, 3, 1, 0.5, 1), EdgeSpec(0, 2, 1, 0.5, 1),
+                                EdgeSpec(2, 1, 1, 0.5, 1)))
+        assert g.neighbors(2) == ((0, 1), (1, 2), (3, 0))
+        assert g.neighbors(0) == ((2, 1),)
+        assert g.neighbors(2) is g.neighbors(2)
 
     def test_graph_rejects_bad_edges(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,13 @@ def test_degree_band_enforced():
         assert band[0] <= 2 * g.edge_count / g.node_count <= band[1]
 
 
+@pytest.mark.parametrize("band", [(), (4.0,), (3.0, 4.0, 5.0), (4.5, 3.5)])
+def test_malformed_degree_band_rejected(band):
+    # an empty band used to switch the band off silently
+    with pytest.raises(ValueError, match="degree_band"):
+        WaxmanParams(degree_band=band)
+
+
 def test_zero_distance_probability_is_beta():
     # exp(0) = 1, so coincident nodes connect with probability beta exactly
     assert 0.5 * math.exp(0.0) == 0.5
