@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import bound_summary
-from .harness import SWEEPABLE, load_config, run_experiment, sweep
+from .harness import SWEEPABLE, _apply_sweep_value, load_config, run_experiment, sweep
 from .model import (
     Allocation,
     Route,
@@ -65,8 +65,13 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    values = [float(v) if "." in v or "e" in v.lower() else int(v)
-              for v in args.values.split(",")]
+    try:  # every entry parses and applies before the first run
+        values = [float(v) if "." in v or "e" in v.lower() else int(v)
+                  for v in args.values.split(",")]
+        for value in values:
+            _apply_sweep_value(cfg, args.param, value)
+    except ValueError as exc:
+        args.parser.error(f"argument --values: {exc}")
     out = Path(args.out) if args.out else None
     rows = sweep(cfg, args.param, values, out)
     for row in rows:
@@ -153,7 +158,7 @@ def main(argv=None) -> int:
     p.add_argument("--policy", default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("bounds", help="print the theoretical bound quantities")
     _add_common(p)

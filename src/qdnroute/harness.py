@@ -9,9 +9,10 @@ as CSV plus the resolved configuration.
 
 from __future__ import annotations
 
-import math
-import os
 import csv
+import math
+import numbers
+import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .topology import (
     WaxmanParams,
     WorkloadParams,
     generate_waxman,
+    pair_factors,
     sample_requests,
     sample_slot_capacities,
 )
@@ -356,29 +358,29 @@ def calibrate_beta(node_count: int, alpha: float, side: float,
     over sampled placements and inverts the expected-degree relation.
     """
     rng = np.random.default_rng([seed, node_count])
-    factors = []
-    for _ in range(samples):
-        pts = rng.uniform(0.0, side, size=(node_count, 2))
-        diffs = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diffs ** 2).sum(axis=2))
-        d_max = dist.max()
-        iu = np.triu_indices(node_count, k=1)
-        factors.append(np.exp(-dist[iu] / (alpha * d_max)).mean())
+    factors = [pair_factors(rng.uniform(0.0, side, size=(node_count, 2)), alpha)[2].mean()
+               for _ in range(samples)]
     beta = target_degree / ((node_count - 1) * float(np.mean(factors)))
     return min(max(beta, 1e-6), 1.0)
 
 
+def _whole(parameter: str, value) -> int:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0:
+        return int(value)
+    raise ValueError(f"sweep value for {parameter} must be a whole number, got {value!r}")
+
+
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> ExperimentConfig:
     if parameter == "C":
-        return replace(cfg, budget=replace(cfg.budget, total_budget=int(value)))
+        return replace(cfg, budget=replace(cfg.budget, total_budget=_whole(parameter, value)))
     if parameter == "V":
         return replace(cfg, budget=replace(cfg.budget, V=float(value)))
     if parameter == "q0":
         return replace(cfg, budget=replace(cfg.budget, q0=float(value)))
     if parameter == "node_count":
-        beta = calibrate_beta(int(value), cfg.topology.alpha, cfg.topology.side)
-        return replace(cfg, topology=replace(cfg.topology,
-                                             node_count=int(value), beta=beta))
+        count = _whole(parameter, value)
+        beta = calibrate_beta(count, cfg.topology.alpha, cfg.topology.side)
+        return replace(cfg, topology=replace(cfg.topology, node_count=count, beta=beta))
     raise ValueError(f"unknown sweep parameter {parameter!r}; pick one of {SWEEPABLE}")
 
 
@@ -388,13 +390,14 @@ def sweep(cfg: ExperimentConfig, parameter: str, values,
 
     Each row carries the trial-mean final aggregates for one (value,
     policy) pair plus the constraint-violation bound for that setting.
+    Every value is checked before the first experiment runs.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
     rows = []
     out_path = Path(out_dir) if out_dir is not None else None
-    for value in values:
-        sub_cfg = _apply_sweep_value(cfg, parameter, value)
+    sub_cfgs = [_apply_sweep_value(cfg, parameter, value) for value in values]
+    for value, sub_cfg in zip(values, sub_cfgs):
         sub_out = out_path / f"{parameter}_{value}" if out_path else None
         result = run_experiment(sub_cfg, sub_out, quiet=quiet)
         violation = sum(b["theorem1_rhs"] for b in result.bounds.values()) / len(result.bounds)

@@ -106,36 +106,35 @@ def _place_nodes(rng: np.random.Generator, count: int, side: float) -> np.ndarra
     return rng.uniform(0.0, side, size=(count, 2))
 
 
+def pair_factors(points: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every unordered pair ``u < v`` in row-major order, with its Waxman
+    factor ``exp(-d / (alpha * d_max))``; coincident points get factor 1."""
+    u, v = np.triu_indices(len(points), k=1)
+    dist = np.sqrt(((points[u] - points[v]) ** 2).sum(axis=1))
+    d_max = dist.max(initial=0.0)
+    factors = np.exp(-dist / (alpha * d_max)) if d_max > 0 else np.ones_like(dist)
+    return u, v, factors
+
+
 def _draw_edges(rng: np.random.Generator, points: np.ndarray,
                 alpha: float, beta: float) -> list[tuple[int, int]]:
-    """Test each unordered pair once with the Waxman probability."""
-    n = len(points)
-    diffs = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diffs ** 2).sum(axis=2))
-    d_max = dist.max()
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            prob = beta * np.exp(-dist[u, v] / (alpha * d_max)) if d_max > 0 else beta
-            if rng.random() < prob:
-                edges.append((u, v))
-    return edges
+    """Test each unordered pair once with the Waxman probability: one array
+    draw, equal to one scalar ``rng.random()`` per pair in ``pair_factors`` order."""
+    u, v, factors = pair_factors(points, alpha)
+    keep = rng.random(len(factors)) < beta * factors
+    return list(zip(u[keep].tolist(), v[keep].tolist()))
 
 
 def _connected(node_count: int, edges: list[tuple[int, int]]) -> bool:
-    if node_count == 0:
-        return True
     adj: list[list[int]] = [[] for _ in range(node_count)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        for nbr in adj[stack.pop()]:
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
+        fresh = set(adj[stack.pop()]) - seen
+        seen |= fresh
+        stack.extend(fresh)
     return len(seen) == node_count
 
 
@@ -153,18 +152,16 @@ def generate_waxman(params: WaxmanParams, caps: CapacityDistributions) -> QdnGra
         rng = np.random.default_rng([params.seed, STREAM_TOPOLOGY, attempt])
         points = _place_nodes(rng, params.node_count, params.side)
         pairs = _draw_edges(rng, points, params.alpha, params.beta)
-        if not _connected(params.node_count, pairs):
-            continue
-        if params.degree_band is not None:
-            degree = 2 * len(pairs) / params.node_count
-            if not params.degree_band[0] <= degree <= params.degree_band[1]:
-                continue
+        degree = 2 * len(pairs) / params.node_count
+        lo, hi = params.degree_band or (0.0, np.inf)
+        if not (lo <= degree <= hi and _connected(params.node_count, pairs)):
+            continue  # the O(1) band check first: both are rejections
         if caps.fluctuation == "redraw":
             qubit_caps = tuple([q_hi] * params.node_count)
             channel_caps = [w_hi] * len(pairs)
         else:
-            qubit_caps = tuple(int(x) for x in rng.integers(q_lo, q_hi + 1, params.node_count))
-            channel_caps = [int(x) for x in rng.integers(w_lo, w_hi + 1, len(pairs))]
+            qubit_caps = tuple(rng.integers(q_lo, q_hi + 1, params.node_count).tolist())
+            channel_caps = rng.integers(w_lo, w_hi + 1, len(pairs)).tolist()
         edges = tuple(
             EdgeSpec(u, v, w, caps.p_attempt, caps.attempts)
             for (u, v), w in zip(pairs, channel_caps)
@@ -184,8 +181,8 @@ def sample_slot_capacities(graph: QdnGraph, caps: CapacityDistributions,
     rng = np.random.default_rng([seed, STREAM_CAPACITY, t])
     q_lo, q_hi = caps.qubit_range
     w_lo, w_hi = caps.channel_range
-    q = tuple(int(x) for x in rng.integers(q_lo, q_hi + 1, graph.node_count))
-    w = tuple(int(x) for x in rng.integers(w_lo, w_hi + 1, graph.edge_count))
+    q = tuple(rng.integers(q_lo, q_hi + 1, graph.node_count).tolist())
+    w = tuple(rng.integers(w_lo, w_hi + 1, graph.edge_count).tolist())
     return SlotCapacities(q, w)
 
 
@@ -254,21 +251,14 @@ def load_graph(path: str | Path) -> QdnGraph:
 
 def dump_workload(stream: list[list[tuple[int, int]]], path: str | Path) -> None:
     """Write a replay file: one line per slot, ``t: s-d s-d ...``."""
-    lines = []
-    for t, pairs in enumerate(stream):
-        lines.append(f"{t}: " + " ".join(f"{s}-{d}" for s, d in pairs))
+    lines = [f"{t}: " + " ".join(f"{s}-{d}" for s, d in pairs) for t, pairs in enumerate(stream)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_workload(path: str | Path) -> list[list[tuple[int, int]]]:
     stream = []
     for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        _, _, rest = line.partition(":")
-        pairs = []
-        for token in rest.split():
-            s, _, d = token.partition("-")
-            pairs.append((int(s), int(d)))
-        stream.append(pairs)
+        if line.strip():
+            tokens = (token.partition("-") for token in line.partition(":")[2].split())
+            stream.append([(int(s), int(d)) for s, _, d in tokens])
     return stream

@@ -12,11 +12,14 @@ Core claims:
     - running averages in RunMetrics are recomputable from slot records
     - histograms conserve request counts and bin correctly
     - sweeps emit one row per (value, policy) and adjust beta for node
-      sweeps; beta calibration hits the degree target
+      sweeps; beta calibration hits the degree target; a C or node_count
+      value that is not a whole number is rejected before any run, and
+      the CLI reports a bad --values entry as a usage error
     - the CLI subcommands run end to end
 """
 
 import csv
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -364,6 +367,29 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(tiny_config(), "gamma", [1, 2])
 
+    @pytest.mark.parametrize("param,value", [
+        ("C", 2500.9), ("C", True), ("C", "5000"), ("C", math.inf),
+        ("node_count", 20.7), ("node_count", False), ("node_count", math.nan),
+    ])
+    def test_non_whole_counts_rejected(self, param, value):
+        # int() used to truncate these while the row reported the value given
+        from qdnroute.harness import _apply_sweep_value
+
+        with pytest.raises(ValueError, match=f"{param} must be a whole number, got {value!r}"):
+            _apply_sweep_value(tiny_config(), param, value)
+
+    def test_whole_float_count_accepted(self):
+        from qdnroute.harness import _apply_sweep_value
+
+        adjusted = _apply_sweep_value(tiny_config(), "C", 250.0)
+        assert adjusted.budget.total_budget == 250
+        assert type(adjusted.budget.total_budget) is int
+
+    def test_bad_value_rejected_before_any_run(self, tmp_path):
+        with pytest.raises(ValueError, match="whole number"):
+            sweep(tiny_config(trials=1), "C", [150, 250.5], tmp_path / "sw", quiet=True)
+        assert not (tmp_path / "sw").exists()
+
 
 def test_calibrate_beta_hits_target_degree():
     beta = calibrate_beta(40, alpha=0.5, side=100.0, target_degree=4.0)
@@ -415,3 +441,21 @@ class TestCli:
                          "--values", "0,10", "--out", str(out)])
         assert code == 0
         assert (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param,values,why", [
+        ("C", "150,2500.9", "whole number"),
+        ("node_count", "20.7", "whole number"),
+        ("C", "150,abc", "'abc'"),
+        ("V", "1.5,x.y", "'x.y'"),
+    ])
+    def test_sweep_bad_values_are_usage_errors(self, tmp_path, capsys, param, values, why):
+        cfg_path = tmp_path / "cfg.yaml"
+        save_config(tiny_config(trials=1, policies=("OSCAR",)), cfg_path)
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", str(cfg_path), "--param", param,
+                      "--values", values, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --values" in err and why in err
+        assert not out.exists()

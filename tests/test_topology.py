@@ -3,6 +3,9 @@
 Core claims:
     - Waxman generation is deterministic per seed, connected, and respects
       capacity ranges; the empirical edge rate matches the pair probability
+    - the vectorised edge draw takes the same uniforms as a per-pair loop
+      and leaves the stream in the same state; pinned digests guard the
+      generated graphs, redraw capacities and calibrated beta
     - the default setup lands near mean degree 4, and the degree band
       rejects draws outside it
     - slot capacities are the base values in static mode and per-slot
@@ -12,11 +15,16 @@ Core claims:
     - graph and workload files round-trip exactly
 """
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdnroute.harness import calibrate_beta
 from qdnroute.model import SlotCapacities
 from qdnroute.topology import (
     CapacityDistributions,
@@ -30,12 +38,15 @@ from qdnroute.topology import (
     graph_to_dict,
     load_graph,
     load_workload,
+    pair_factors,
     sample_requests,
     sample_slot_capacities,
     save_graph,
 )
 
 CAPS = CapacityDistributions()
+
+PINNED_TOPOLOGIES_SHA256 = "854d03a09dfe661d6f2430cfedbe3ee385ff911e5f31f04ab399f98490c8c993"
 
 
 def test_deterministic_per_seed():
@@ -107,13 +118,76 @@ def test_malformed_degree_band_rejected(band):
 
 
 def test_zero_distance_probability_is_beta():
-    # exp(0) = 1, so coincident nodes connect with probability beta exactly
-    assert 0.5 * math.exp(0.0) == 0.5
+    # d_max = 0: every pair's factor is 1, so beta = 1 connects every pair
+    points = np.full((6, 2), 37.5)
+    _, _, factors = pair_factors(points, alpha=0.5)
+    assert factors.tolist() == [1.0] * 15
+    edges = _draw_edges(np.random.default_rng(0), points, alpha=0.5, beta=1.0)
+    assert edges == [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
 
 def test_waxman_tail_probability_value():
-    # d = d_max with alpha = beta = 0.5 gives 0.5 * e^-2
-    assert 0.5 * math.exp(-2.0) == pytest.approx(0.0677, abs=5e-5)
+    # the pair at d = d_max has factor exp(-1 / alpha), the smallest of all;
+    # pairs come out in row-major u < v order
+    points = _place_nodes(np.random.default_rng(7), 10, 100.0)
+    for alpha in (0.5, 0.3, 1.0):
+        u, v, factors = pair_factors(points, alpha)
+        far = int(np.argmax(np.hypot(*(points[u] - points[v]).T)))
+        assert factors[far] == pytest.approx(math.exp(-1.0 / alpha), rel=1e-12)
+        assert factors.min() == factors[far]
+    assert list(zip(u.tolist(), v.tolist())) == [
+        (a, b) for a in range(10) for b in range(a + 1, 10)]
+
+
+def _draw_edges_scalar(rng, points, alpha, beta):
+    # The per-pair loop _draw_edges replaced: the reference for its draws.
+    n = len(points)
+    diffs = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diffs ** 2).sum(axis=2))
+    d_max = dist.max()
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            prob = beta * np.exp(-dist[u, v] / (alpha * d_max)) if d_max > 0 else beta
+            if rng.random() < prob:
+                edges.append((u, v))
+    return edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       alpha=st.floats(0.01, 1.0), beta=st.floats(0.01, 1.0),
+       coincident=st.booleans())
+def test_draw_edges_matches_scalar_loop(n, seed, alpha, beta, coincident):
+    # same edges, and the stream left where the loop leaves it
+    points = _place_nodes(np.random.default_rng([seed, 1]), n, 100.0)
+    if coincident:
+        points[:] = points[0]
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _draw_edges(fast, points, alpha, beta) == _draw_edges_scalar(slow, points, alpha, beta)
+    assert fast.random() == slow.random()
+
+
+def test_topologies_pinned():
+    # Graphs and redraw capacities for the stock 20-node band and for the
+    # calibrated 100-node setup of ``sweep --param node_count``, in both
+    # fluctuation modes, plus calibrate_beta itself.
+    h = hashlib.sha256()
+    for n in (8, 20, 30, 50, 100):
+        h.update(f"beta:{n}:{calibrate_beta(n, 0.5, 100.0)!r}\n".encode())
+    wide = WaxmanParams(node_count=100, beta=calibrate_beta(100, 0.5, 100.0))
+    cases = ([WaxmanParams(degree_band=(3.5, 4.5), seed=s) for s in range(50)]
+             + [replace(wide, seed=s) for s in range(10)])
+    for mode in ("static", "redraw"):
+        caps = CapacityDistributions(fluctuation=mode)
+        for topo in cases:
+            g = generate_waxman(topo, caps)
+            h.update(f"{mode}:{topo.node_count}:{topo.seed}:{g.qubit_caps}:{g.edges}\n".encode())
+            if mode == "redraw":
+                for t in range(30):
+                    c = sample_slot_capacities(g, caps, t, topo.seed)
+                    h.update(f"{t}:{c.q_caps}:{c.w_caps}\n".encode())
+    assert h.hexdigest() == PINNED_TOPOLOGIES_SHA256
 
 
 class TestSlotCapacities:
