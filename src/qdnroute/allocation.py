@@ -16,7 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Allocation, QdnGraph, Route, SlotCapacities, slot_utility
+from .model import (
+    Allocation,
+    QdnGraph,
+    Route,
+    SlotCapacities,
+    reject_non_finite,
+    slot_utility,
+)
 
 _DEFAULT_GAP_TOL = 1e-6
 _MAX_MULTIPLIER_UPDATES = 10_000
@@ -58,11 +65,12 @@ class PerSlotObjectiveParams:
     cost_cap: int | None = None
 
     def __post_init__(self) -> None:
-        if self.V <= 0:
+        reject_non_finite(self)
+        if not self.V > 0:
             raise ValueError("V must be positive")
-        if self.q < 0:
+        if not self.q >= 0:
             raise ValueError("q must be >= 0")
-        if self.cost_cap is not None and self.cost_cap < 0:
+        if self.cost_cap is not None and not self.cost_cap >= 0:
             raise ValueError("cost_cap must be >= 0")
 
 
@@ -95,13 +103,20 @@ class _Instance:
     edge loads, and the optional budget; constraints that cannot bind under
     the per-variable boxes are dropped.  ``budget`` is the budget
     constraint when it is one of them, else None.
+
+    Built in two stages: the per-variable arrays and the budget first, the
+    node and edge constraints second.  With a ``floor``, the bound of
+    ``_initial_bound`` is checked between the two, so an instance certified
+    to lie below the floor raises DominatedError before its coupling
+    constraints are built or checked.
     """
 
     __slots__ = ("keys", "lna", "vlna", "hi", "theta_one", "constraints",
-                 "budget", "cons_of_var", "V", "q")
+                 "budget", "cons_of_var", "V", "q", "x0", "slope0", "bound", "floor")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
-                 routes: Sequence[Route], params: PerSlotObjectiveParams):
+                 routes: Sequence[Route], params: PerSlotObjectiveParams,
+                 floor: float = -math.inf):
         self.V = params.V
         self.q = params.q
         keys = []
@@ -117,22 +132,46 @@ class _Instance:
         n = len(keys)
 
         self.lna, self.vlna, self.hi, self.theta_one = [], [], [], []
-        node_members: dict[int, list[int]] = {}
-        edge_members: dict[int, list[int]] = {}
         edges = graph.edges
         log_fail = graph.log_fail
         p_edge = graph.p_edge
         q_caps, w_caps = caps.q_caps, caps.w_caps
-        for i, (_, eid) in enumerate(keys):
+        for _, eid in keys:
             e = edges[eid]
             lna = log_fail[eid]
-            box = float(min(w_caps[eid], q_caps[e.u], q_caps[e.v]))
             self.lna.append(lna)
             self.vlna.append(self.V * lna)
-            self.hi.append(box)
+            self.hi.append(float(min(w_caps[eid], q_caps[e.u], q_caps[e.v])))
             # Price above which the unclamped stationary point drops to 1.
             a = 1.0 - p_edge[eid]
             self.theta_one.append(-self.V * lna * a / (1.0 - a))
+        self.budget = None
+        if params.cost_cap is not None:
+            if n > params.cost_cap:
+                raise InfeasibleSelectionError(
+                    f"all-ones cost {n} exceeds slot budget {params.cost_cap}"
+                )
+            if sum(self.hi) > params.cost_cap:
+                self.budget = (tuple(range(n)), float(params.cost_cap))
+
+        # Maximizers and slopes at zero multipliers: the dual solve's start.
+        self.x0, self.slope0 = [0.0] * n, [0.0] * n
+        self._load(range(n), [self.q] * n, 0.0, self.x0, self.slope0)
+        self.floor = floor
+        self.bound = math.inf
+        if floor > -math.inf:
+            self.bound = self._initial_bound()
+            if self.bound < floor:
+                raise DominatedError(self.bound)
+        self._couple(graph, caps)
+
+    def _couple(self, graph: QdnGraph, caps: SlotCapacities) -> None:
+        """Node constraints, then edge constraints, then the budget."""
+        node_members: dict[int, list[int]] = {}
+        edge_members: dict[int, list[int]] = {}
+        edges = graph.edges
+        for i, (_, eid) in enumerate(self.keys):
+            e = edges[eid]
             node_members.setdefault(e.u, []).append(i)
             node_members.setdefault(e.v, []).append(i)
             edge_members.setdefault(eid, []).append(i)
@@ -156,17 +195,10 @@ class _Instance:
                 )
             if sum(self.hi[i] for i in members) > cap:
                 constraints.append((tuple(members), float(cap)))
-        self.budget = None
-        if params.cost_cap is not None:
-            if n > params.cost_cap:
-                raise InfeasibleSelectionError(
-                    f"all-ones cost {n} exceeds slot budget {params.cost_cap}"
-                )
-            if sum(self.hi) > params.cost_cap:
-                self.budget = (tuple(range(n)), float(params.cost_cap))
-                constraints.append(self.budget)
+        if self.budget is not None:
+            constraints.append(self.budget)
         self.constraints = constraints
-        self.cons_of_var: list[list[int]] = [[] for _ in range(n)]
+        self.cons_of_var: list[list[int]] = [[] for _ in self.keys]
         for ci, (members, _) in enumerate(constraints):
             for i in members:
                 self.cons_of_var[i].append(ci)
@@ -282,19 +314,21 @@ class _Instance:
             guess = step if lo < step < hi_nu else 0.5 * (lo + hi_nu)
         return guess, tried
 
-    def _initial_bound(self, theta: list[float], x: list[float], slope: list[float],
-                       trial_x: list[float], trial_slope: list[float]) -> float:
+    def _initial_bound(self) -> float:
         """Upper bound on the relaxed optimum before any multiplier moves.
 
         The dual value at zero multipliers, tightened when the budget is a
         constraint by the budget-only Lagrangian at the price where the
-        box maximizers' total meets the budget.  ``x`` and ``slope`` hold
-        the maximizers at zero multipliers and are left unchanged.
+        box maximizers' total meets the budget.  Needs only the
+        per-variable arrays and the budget.
         """
+        n = len(self.keys)
+        theta, x, slope = [self.q] * n, self.x0, self.slope0
         bound = self._value(x, theta)[1]
         if self.budget is not None:
             members, cap = self.budget
             if sum(x) > cap:
+                trial_x, trial_slope = [0.0] * n, [0.0] * n
                 lam, tried = self._meet_cap(members, cap, theta, 0.0, None,
                                             x, slope, trial_x, trial_slope)
                 if lam != tried:
@@ -305,7 +339,7 @@ class _Instance:
 
     def solve_relaxed(self, tol: float = _DEFAULT_GAP_TOL,
                       max_updates: int = _MAX_MULTIPLIER_UPDATES,
-                      floor: float = -math.inf) -> tuple[list[float], float]:
+                      ) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
 
         One nonnegative multiplier per coupling constraint; the Lagrangian
@@ -321,32 +355,24 @@ class _Instance:
         members of a constraint whose multiplier moved; loads at a
         multiplier's current value are then sums over that state.
 
-        Raises DominatedError as soon as a certified upper bound on the
-        relaxed optimum falls below ``floor``: the bound of
-        ``_initial_bound`` before the first sweep, then the dual value at
-        the end of every sweep.  The bounds are computed beside the solve
-        and leave its path unchanged.
+        Raises DominatedError as soon as the dual value at the end of a
+        sweep, a certified upper bound on the relaxed optimum, falls below
+        the instance's floor (the bound before the first sweep was checked
+        at build time).  The bounds are computed beside the solve and leave
+        its path unchanged.
         """
         n = len(self.keys)
-        if n == 0:
-            return [], 0.0
         theta = [self.q] * n
-        x, slope = [0.0] * n, [0.0] * n
-        self._load(range(n), theta, 0.0, x, slope)
+        x, slope = self.x0[:], self.slope0[:]
         if not self.constraints:
-            f = self._value(x, theta)[0]
-            if f < floor:
-                raise DominatedError(f)
-            return x, f
+            # The value is then the zero-multiplier bound, which the build
+            # checked against the floor.
+            return x, self._value(x, theta)[0]
 
         # Member values at the last shift tried, kept if the multiplier
         # settles there.
         trial_x, trial_slope = [0.0] * n, [0.0] * n
-        bound = math.inf
-        if floor > -math.inf:
-            bound = self._initial_bound(theta, x, slope, trial_x, trial_slope)
-            if bound < floor:
-                raise DominatedError(bound)
+        bound, floor = self.bound, self.floor
         nu = [0.0] * len(self.constraints)
         updates = 0
         best_x: list[float] | None = None
@@ -493,9 +519,12 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     without finishing the solve, as soon as a certified upper bound on the
     relaxed optimum (and so on the returned objective) falls below
     ``floor``; a call that is not cut returns what it would without one.
+    The first bound needs only the routes' variables and the budget, so
+    with a floor a selection whose bound is below it raises DominatedError
+    even when its node or edge capacities would make it infeasible.
     """
-    inst = _Instance(graph, caps, routes, params)
-    x, _ = inst.solve_relaxed(tol=tol, floor=floor)
+    inst = _Instance(graph, caps, routes, params, floor)
+    x, _ = inst.solve_relaxed(tol=tol)
     counts = inst.round_down_and_fill(x)
     alloc = Allocation(dict(zip(inst.keys, counts)))
     return alloc, inst.integer_objective(counts)

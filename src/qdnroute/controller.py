@@ -16,7 +16,13 @@ from functools import partial
 from typing import Sequence
 
 from .allocation import Allocation, PerSlotObjectiveParams, delta_gap
-from .model import QdnGraph, SlotCapacities, route_success_prob, verify_feasible
+from .model import (
+    QdnGraph,
+    SlotCapacities,
+    reject_non_finite,
+    route_success_prob,
+    verify_feasible,
+)
 from .routes import SdRequest
 from .selection import (
     DEFAULT_ENUMERATION_CAP,
@@ -39,13 +45,14 @@ class BudgetParams:
     q0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.total_budget <= 0:
+        reject_non_finite(self)
+        if not self.total_budget > 0:
             raise ValueError("total_budget must be positive")
-        if self.horizon < 1:
+        if not self.horizon >= 1:
             raise ValueError("horizon must be >= 1")
-        if self.V <= 0:
+        if not self.V > 0:
             raise ValueError("V must be positive")
-        if self.q0 < 0:
+        if not self.q0 >= 0:
             raise ValueError("q0 must be >= 0")
 
 
@@ -59,9 +66,10 @@ class ControllerState:
     policy: str = "OSCAR"
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.q < 0:
+        if not self.q >= 0:
             raise ValueError("queue length must be >= 0")
 
 

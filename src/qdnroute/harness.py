@@ -26,6 +26,7 @@ from .controller import (
     bound_summary,
     run_slot,
 )
+from .model import reject_non_finite
 from .routes import CandidateCache, RouteConfig, build_requests
 from .selection import DEFAULT_ENUMERATION_CAP, GibbsParams
 from .topology import (
@@ -66,9 +67,10 @@ class ExperimentConfig:
     gibbs: GibbsParams = field(default_factory=GibbsParams)
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
+        reject_non_finite(self)
+        if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
-        if self.workers < 0:
+        if not self.workers >= 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU)")
         if not self.policies:
             raise ValueError("policies must name at least one policy")

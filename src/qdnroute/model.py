@@ -11,7 +11,7 @@ on the closed-form success probabilities defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -20,6 +20,16 @@ import numpy as np
 
 class MissingAllocationError(KeyError):
     """A route edge has no channel-count entry in the allocation."""
+
+
+def reject_non_finite(params) -> None:
+    """Raise ValueError naming the first field of a parameter dataclass that
+    holds a NaN or an infinity, itself or as an element of a tuple."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def channel_success_prob(p_tilde: float, attempts: int) -> float:

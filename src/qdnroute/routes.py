@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import QdnGraph, Route
+from .model import QdnGraph, Route, reject_non_finite
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,8 @@ class RouteConfig:
     max_hops: int = 6
 
     def __post_init__(self) -> None:
-        if self.max_candidates < 1 or self.max_hops < 1:
+        reject_non_finite(self)
+        if not (self.max_candidates >= 1 and self.max_hops >= 1):
             raise ValueError("max_candidates and max_hops must be >= 1")
 
 

@@ -8,7 +8,8 @@ negative infinity so either searcher simply avoids them; so does a selection
 whose allocation solve fails to converge, so one bad combination cannot
 abort a run.  The Gibbs sampler draws each proposal's acceptance variate
 first and rejects a proposal whose certified allocator bound already loses
-at that draw, without finishing its solve.
+at that draw, without finishing its solve; exhaustive search under an
+uncapped objective cuts a combination whose bound loses to its incumbent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .allocation import (
     PerSlotObjectiveParams,
     allocate,
 )
-from .model import QdnGraph, SlotCapacities
+from .model import QdnGraph, SlotCapacities, reject_non_finite
 from .routes import SdRequest
 
 DEFAULT_ENUMERATION_CAP = 10_000
@@ -66,11 +67,12 @@ class GibbsParams:
     batch_disjoint: bool = False
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
+        reject_non_finite(self)
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.max_iters is not None and self.max_iters < 1:
+        if self.max_iters is not None and not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stability_window is not None and self.stability_window < 1:
+        if self.stability_window is not None and not self.stability_window >= 1:
             raise ValueError("stability_window must be >= 1")
 
 
@@ -122,11 +124,16 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
                       params: PerSlotObjectiveParams,
                       enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
                       ) -> tuple[RouteSelection, Allocation, float]:
-    """Evaluate every route combination and return the best.
+    """Search every route combination and return the best.
 
-    Ties break toward the lexicographically first index tuple.  Raises
-    EnumerationCapError when the product space exceeds the cap, and
-    AllInfeasibleError when no combination is feasible.
+    Combinations are visited in lexicographic index order and ties break
+    toward the first.  Under an uncapped objective, each combination after
+    the first feasible one is handed to ``allocate`` with the incumbent's
+    objective, lowered by a relative 1e-9, as its floor; a combination
+    whose certified bound falls below it could not beat the incumbent and
+    is cut without a full solve.  The result is the same as solving every
+    combination.  Raises EnumerationCapError when the product space
+    exceeds the cap, and AllInfeasibleError when no combination is feasible.
     """
     if not requests:
         raise ValueError("no requests to select routes for")
@@ -139,13 +146,22 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
             f"{space} combinations exceed the cap of {enumeration_cap}; "
             "use gibbs_select"
         )
+    # Capped objectives (MF, MA) pass no floor while perfbench keeps every
+    # replay in memory: faster slots mean more replays and a higher peak RSS.
+    prune = params.cost_cap is None
     best_choice = None
     best_alloc = None
     best_f = -math.inf
+    floor = -math.inf
     for choice in product(*(range(s) for s in sizes)):
-        alloc, f = _evaluate(graph, caps, requests, choice, params)
+        try:
+            alloc, f = _evaluate(graph, caps, requests, choice, params, floor)
+        except DominatedError:
+            continue  # certified to score below the incumbent
         if alloc is not None and f > best_f:
             best_choice, best_alloc, best_f = choice, alloc, f
+            if prune:
+                floor = best_f - 1e-9 * (1.0 + abs(best_f))
     if best_choice is None:
         raise AllInfeasibleError("every route combination is infeasible")
     selection = {req.request_id: c for req, c in zip(requests, best_choice)}

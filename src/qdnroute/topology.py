@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EdgeSpec, QdnGraph, SlotCapacities
+from .model import EdgeSpec, QdnGraph, SlotCapacities, reject_non_finite
 
 # Sub-stream tags keeping topology, capacity, workload, and sampler draws
 # independent of each other for a given seed.
@@ -48,14 +48,15 @@ class WaxmanParams:
     degree_band: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.node_count < 2:
+        reject_non_finite(self)
+        if not self.node_count >= 2:
             raise ValueError("node_count must be >= 2")
         if not 0.0 < self.alpha <= 1.0 or not 0.0 < self.beta <= 1.0:
             raise ValueError("alpha and beta must lie in (0, 1]")
-        if self.side <= 0:
+        if not self.side > 0:
             raise ValueError("side must be positive")
         band = self.degree_band
-        if band is not None and (len(band) != 2 or band[0] > band[1]):
+        if band is not None and (len(band) != 2 or not band[0] <= band[1]):
             raise ValueError(f"degree_band must be null or (lo, hi) with lo <= hi, got {band}")
 
 
@@ -76,6 +77,7 @@ class CapacityDistributions:
     attempts: int = 4000
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         for lo, hi in (self.qubit_range, self.channel_range):
             if not 1 <= lo <= hi:
                 raise ValueError(f"capacity range [{lo}, {hi}] must satisfy 1 <= lo <= hi")
@@ -83,7 +85,7 @@ class CapacityDistributions:
             raise ValueError(f"unknown fluctuation mode {self.fluctuation!r}")
         if not 0.0 < self.p_attempt < 1.0:
             raise ValueError("p_attempt must lie in (0, 1)")
-        if self.attempts < 1:
+        if not self.attempts >= 1:
             raise ValueError("attempts must be >= 1")
 
 
@@ -95,10 +97,11 @@ class WorkloadParams:
     f_max: int = 5
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         lo, hi = self.sd_range
         if not 0 <= lo <= hi:
             raise ValueError(f"sd_range [{lo}, {hi}] must satisfy 0 <= lo <= hi")
-        if hi > self.f_max:
+        if not hi <= self.f_max:
             raise ValueError("sd_range upper bound exceeds f_max")
 
 

@@ -68,6 +68,32 @@ def random_allocation_instance(rng, *, max_requests=3, max_hops=4, w_hi=6,
     raise RuntimeError("could not build a feasible instance")
 
 
+def random_infeasible_instance(rng, *, with_cost_cap=False):
+    """A (graph, caps, routes, params) tuple whose all-ones allocation breaks
+    a node or edge capacity; a cost cap, if any, admits the all-ones cost."""
+    for _ in range(500):
+        g = random_graph(rng, int(rng.integers(4, 8)), w_lo=1, w_hi=2, q_lo=1, q_hi=4)
+        caps = SlotCapacities.from_graph(g)
+        count = int(rng.integers(2, 5))
+        pairs = [tuple(int(x) for x in rng.choice(g.node_count, size=2, replace=False))
+                 for _ in range(count)]
+        reqs = build_requests(g, pairs, RouteConfig(max_candidates=3, max_hops=4))
+        if not all(r.servable for r in reqs):
+            continue
+        routes = [r.candidates[int(rng.integers(len(r.candidates)))] for r in reqs]
+        ones = Allocation({(r.request_id, eid): 1 for r in routes for eid in r.edges})
+        if verify_feasible(g, caps, routes, ones).ok:
+            continue
+        n_vars = sum(r.hops for r in routes)
+        params = PerSlotObjectiveParams(
+            V=float(rng.uniform(1.0, 50.0)),
+            q=float(rng.uniform(0.0, 3.0)),
+            cost_cap=int(rng.integers(n_vars, 3 * n_vars + 1)) if with_cost_cap else None,
+        )
+        return g, caps, routes, params
+    raise RuntimeError("could not build an infeasible instance")
+
+
 def instance_variables(graph, caps, routes, params):
     """Sorted (request, edge) keys with their success probs and box bounds."""
     keys, probs, boxes = [], {}, {}

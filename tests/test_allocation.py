@@ -17,7 +17,9 @@ Core claims:
       bit for bit
     - allocate(floor=...) either returns exactly what allocate() returns or
       raises DominatedError with a bound that is at least the objective and
-      below the floor
+      below the floor; on a selection that breaks a node or edge capacity
+      it raises InfeasibleSelectionError, or DominatedError with a bound
+      below the floor before the capacities are checked
 """
 
 import hashlib
@@ -38,6 +40,7 @@ from instances import (
     pair_grid_optimum,
     random_allocation_instance,
     random_graph,
+    random_infeasible_instance,
     stationarity_root,
 )
 from qdnroute.allocation import (
@@ -413,6 +416,31 @@ class TestFloor:
             assert sorted(alloc2.items()) == sorted(alloc.items())
             assert f2.hex() == f.hex()
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(),
+           floor=st.floats(-400.0, 50.0))
+    def test_infeasible_or_certified(self, seed, capped, floor):
+        rng = np.random.default_rng(seed)
+        g, caps, routes, params = random_infeasible_instance(rng, with_cost_cap=capped)
+        with pytest.raises(InfeasibleSelectionError):
+            allocate(g, caps, routes, params)
+        with pytest.raises((DominatedError, InfeasibleSelectionError)) as info:
+            allocate(g, caps, routes, params, floor=floor)
+        if info.type is DominatedError:
+            assert info.value.bound < floor
+
+    def test_infeasible_cut_before_coupling(self):
+        # The first bound needs no coupling constraint: a floor above it cuts
+        # an infeasible selection, a floor far below it reaches the check.
+        rng = np.random.default_rng(79)
+        for k in range(50):
+            g, caps, routes, params = random_infeasible_instance(
+                rng, with_cost_cap=bool(k % 2))
+            with pytest.raises(DominatedError):
+                allocate(g, caps, routes, params, floor=1e6)
+            with pytest.raises(InfeasibleSelectionError):
+                allocate(g, caps, routes, params, floor=-1e6)
+
     def test_floor_above_relaxed_optimum_cuts(self):
         # Both the pre-loop bound and the per-sweep dual values get used.
         rng = np.random.default_rng(71)
@@ -434,9 +462,9 @@ class TestFloor:
         f = allocate(g, caps, [route], params)[1]
         unbudgeted = allocate(g, caps, [route], PerSlotObjectiveParams(V=1.0, q=0.0))[1]
         floor = 0.5 * (f + unbudgeted)
-        inst = _Instance(g, caps, [route], params)
         with pytest.raises(DominatedError) as info:
-            inst.solve_relaxed(max_updates=0, floor=floor)
+            _Instance(g, caps, [route], params, floor)
         assert f - _margin(f) <= info.value.bound < floor
+        inst = _Instance(g, caps, [route], params, unbudgeted - 1.0)
         with pytest.raises(NoConvergenceError):
-            inst.solve_relaxed(max_updates=0, floor=unbudgeted - 1.0)
+            inst.solve_relaxed(max_updates=0)

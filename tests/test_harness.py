@@ -6,6 +6,9 @@ Core claims:
       written YAML is pinned byte for byte
     - malformed configs (not a mapping, bad degree band, negative worker
       count, empty or repeated policy list) raise ValueError
+    - every parameter dataclass rejects a NaN or an infinity with a
+      ValueError naming the field, from code, from a config mapping and
+      from a sweep value
     - run_experiment writes the documented CSV schemas and byte-identical
       outputs on repeated runs, independent of the worker count
     - policies within a trial see identical request streams (paired design)
@@ -45,7 +48,8 @@ from qdnroute.harness import (
     save_config,
     sweep,
 )
-from qdnroute.controller import POLICIES, BudgetParams
+from qdnroute.allocation import PerSlotObjectiveParams
+from qdnroute.controller import POLICIES, BudgetParams, ControllerState
 from qdnroute.routes import RouteConfig
 from qdnroute.selection import GibbsParams
 from qdnroute.topology import CapacityDistributions, WaxmanParams, WorkloadParams, generate_waxman
@@ -219,6 +223,40 @@ class TestConfig:
     def test_invalid_values_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda x: BudgetParams(5000, 200, x), "V"),
+        (lambda x: BudgetParams(5000, 200, 1.0, x), "q0"),
+        (lambda x: BudgetParams(x, 200, 1.0), "total_budget"),
+        (lambda x: BudgetParams(5000, x, 1.0), "horizon"),
+        (lambda x: PerSlotObjectiveParams(V=x), "V"),
+        (lambda x: PerSlotObjectiveParams(V=1.0, q=x), "q"),
+        (lambda x: PerSlotObjectiveParams(V=1.0, cost_cap=x), "cost_cap"),
+        (lambda x: ControllerState(q=x), "q must be finite"),
+        (lambda x: GibbsParams(gamma=x), "gamma"),
+        (lambda x: GibbsParams(max_iters=x), "max_iters"),
+        (lambda x: WaxmanParams(side=x), "side"),
+        (lambda x: WaxmanParams(alpha=x), "alpha"),
+        (lambda x: WaxmanParams(degree_band=(3.5, x)), "degree_band"),
+        (lambda x: CapacityDistributions(channel_range=(1, x)), "channel_range"),
+        (lambda x: CapacityDistributions(attempts=x), "attempts"),
+        (lambda x: WorkloadParams(f_max=x), "f_max"),
+        (lambda x: RouteConfig(max_hops=x), "max_hops"),
+        (lambda x: ExperimentConfig(trials=x), "trials"),
+        (lambda x: ExperimentConfig(enumeration_cap=x), "enumeration_cap"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, build, field, value):
+        with pytest.raises(ValueError, match=field):
+            build(value)
+
+    @pytest.mark.parametrize("section, key", [
+        ("budget", "V"), ("budget", "q0"), ("gibbs", "gamma"), ("topology", "side"),
+    ])
+    def test_non_finite_config_values_rejected(self, section, key):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                config_from_dict({section: {key: value}})
 
     def test_config_yaml_pinned(self, tmp_path):
         save_config(default_config(), tmp_path / "default.yaml")
@@ -447,6 +485,8 @@ class TestCli:
         ("node_count", "20.7", "whole number"),
         ("C", "150,abc", "'abc'"),
         ("V", "1.5,x.y", "'x.y'"),
+        ("V", "1e999", "V must be finite, got inf"),
+        ("q0", "0,-1e999", "q0 must be finite, got -inf"),
     ])
     def test_sweep_bad_values_are_usage_errors(self, tmp_path, capsys, param, values, why):
         cfg_path = tmp_path / "cfg.yaml"

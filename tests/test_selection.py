@@ -13,8 +13,11 @@ Core claims:
       infeasible in both searchers instead of aborting the search
     - Gibbs search that rejects proposals by the allocator's certified
       bound returns exactly what it returns when every proposal is solved
-    - Gibbs slots of the default config's trial 0 match a recorded digest
-      bit for bit
+    - exhaustive search that cuts combinations at the incumbent returns
+      exactly what it returns when every combination is solved, ties
+      included; capped objectives pass no floor
+    - Gibbs and exhaustive slots of the default config's trial 0 match
+      recorded digests bit for bit
 """
 
 import hashlib
@@ -24,6 +27,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from instances import random_allocation_instance
@@ -268,6 +273,11 @@ def fail_on(monkeypatch, bad_routes):
     monkeypatch.setattr(selection, "allocate", flaky)
 
 
+def unfloored(graph, caps, routes, params, floor=-math.inf):
+    """The allocator as a selector sees it, ignoring any floor."""
+    return allocate(graph, caps, routes, params)
+
+
 def multi_request_instance(rng):
     """Requests with at least two route combinations, at least two feasible."""
     while True:
@@ -361,9 +371,6 @@ class TestBoundRejection:
                 cut.append(1)
                 raise
 
-        def unbounded(graph, caps, routes, params, floor=-math.inf):
-            return allocate(graph, caps, routes, params)
-
         def outcome(gibbs_params):
             trace = []
             try:
@@ -386,7 +393,7 @@ class TestBoundRejection:
                 m.setattr(selection, "allocate", counting)
                 got, trace = outcome(gibbs_params)
             with monkeypatch.context() as m:
-                m.setattr(selection, "allocate", unbounded)
+                m.setattr(selection, "allocate", unfloored)
                 want, ref_trace = outcome(gibbs_params)
             assert got == want
             # Same proposals and decisions; a bound-rejected one has no value.
@@ -398,14 +405,72 @@ class TestBoundRejection:
         assert len(cut) > 100
 
 
-# SHA-256 of every slot below; update it only for a change that alters Gibbs
-# selections or allocations on purpose.
+def floor_instance(rng, capped, free, duplicate):
+    """Requests over a random instance; ``free`` zeroes the price, and
+    ``duplicate`` repeats each request's first candidate so that exact ties
+    occur."""
+    while True:
+        g, caps, routes, params = random_allocation_instance(
+            rng, max_requests=4, with_cost_cap=capped)
+        reqs = build_requests(g, [(r.nodes[0], r.nodes[-1]) for r in routes],
+                              RouteConfig(max_candidates=3, max_hops=4))
+        if all(r.servable for r in reqs):
+            break
+    if duplicate:
+        reqs = [replace(r, candidates=r.candidates + r.candidates[:1]) for r in reqs]
+    return g, caps, reqs, replace(params, q=0.0) if free else params
+
+
+def exhaustive_outcome(g, caps, reqs, params, allocator):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(selection, "allocate", allocator)
+        try:
+            sel, alloc, f = exhaustive_select(g, caps, reqs, params)
+        except AllInfeasibleError:
+            return None
+    return sel, sorted(alloc.items()), f.hex()
+
+
+class TestIncumbentFloor:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans(),
+           duplicate=st.booleans())
+    def test_same_result_as_solving_every_combination(self, seed, capped, free, duplicate):
+        g, caps, reqs, params = floor_instance(np.random.default_rng(seed), capped,
+                                               free, duplicate)
+        want = exhaustive_outcome(g, caps, reqs, params, unfloored)
+        assert exhaustive_outcome(g, caps, reqs, params, allocate) == want
+
+    def test_uncapped_cuts_and_capped_passes_no_floor(self):
+        rng = np.random.default_rng(83)
+        floors = {False: [], True: []}
+        cut = []
+
+        def recording(graph, caps, routes, params, floor=-math.inf):
+            floors[params.cost_cap is not None].append(floor)
+            try:
+                return allocate(graph, caps, routes, params, floor=floor)
+            except DominatedError:
+                cut.append(1)
+                raise
+
+        for k in range(120):
+            g, caps, reqs, params = floor_instance(rng, k % 2 == 1, k % 4 < 2, k % 3 == 0)
+            want = exhaustive_outcome(g, caps, reqs, params, unfloored)
+            assert exhaustive_outcome(g, caps, reqs, params, recording) == want
+        assert all(f == -math.inf for f in floors[True])
+        assert sum(f > -math.inf for f in floors[False]) > 200
+        assert len(cut) > 100
+
+
+# SHA-256 of every slot of the tests below; update one only for a change
+# that alters selections or allocations on purpose.
 PINNED_GIBBS_SHA256 = "1cc65a3ef29950ff1c0aef3890fdbbe772b5269f7294589b0affa2c90d5c98be"
+PINNED_EXHAUSTIVE_SHA256 = "0b6acd8b7e27cfaf1b59bdb3238de53e4fd56b69b9c9bf283913cd634d4fd901"
 
 
-def test_gibbs_slots_pinned():
-    # The first 20 slots of the default config's trial 0 under every policy,
-    # with an enumeration cap of 2 so that every slot runs the Gibbs sampler.
+def _slots_digest(slots, enumeration_cap):
+    # The first slots of the default config's trial 0 under every policy.
     cfg = default_config()
     seed = cfg.seed
     graph = generate_waxman(replace(cfg.topology, seed=seed), cfg.capacities)
@@ -414,13 +479,23 @@ def test_gibbs_slots_pinned():
     for policy in cfg.policies:
         state = ControllerState(q=cfg.budget.q0 if policy == "OSCAR" else 0.0,
                                 policy=policy)
-        for t in range(20):
+        for t in range(slots):
             caps = sample_slot_capacities(graph, cfg.capacities, t, seed)
             reqs = build_requests(graph, sample_requests(graph, cfg.workload, t, seed),
                                   cfg.route, cache)
             gibbs = replace(cfg.gibbs, seed=[seed, STREAM_GIBBS, POLICIES.index(policy), t])
             sel, alloc, record, state = run_slot(policy, graph, caps, reqs, state,
-                                                 cfg.budget, gibbs, 2)
+                                                 cfg.budget, gibbs, enumeration_cap)
             items = sorted(alloc.items()) if alloc is not None else None
             h.update(f"{policy}{t}:{sorted(sel.items())}:{items}:{record!r}\n".encode())
-    assert h.hexdigest() == PINNED_GIBBS_SHA256
+    return h.hexdigest()
+
+
+def test_gibbs_slots_pinned():
+    # An enumeration cap of 2 makes every slot run the Gibbs sampler.
+    assert _slots_digest(20, 2) == PINNED_GIBBS_SHA256
+
+
+def test_exhaustive_slots_pinned():
+    # At the stock cap every slot of the default config is exhaustive.
+    assert _slots_digest(10, selection.DEFAULT_ENUMERATION_CAP) == PINNED_EXHAUSTIVE_SHA256
