@@ -25,7 +25,7 @@ from .model import (
     slot_utility,
 )
 
-_DEFAULT_GAP_TOL = 1e-6
+_GAP_TOL = 1e-6
 _MAX_MULTIPLIER_UPDATES = 10_000
 _NEWTON_STEPS = 60
 
@@ -177,24 +177,17 @@ class _Instance:
             edge_members.setdefault(eid, []).append(i)
 
         constraints: list[tuple[tuple[int, ...], float]] = []
-        for v in sorted(node_members):
-            members = node_members[v]
-            cap = caps.q_caps[v]
-            if len(members) > cap:
-                raise InfeasibleSelectionError(
-                    f"node {v}: {len(members)} allocated edges exceed {cap} qubits"
-                )
-            if sum(self.hi[i] for i in members) > cap:
-                constraints.append((tuple(members), float(cap)))
-        for eid in sorted(edge_members):
-            members = edge_members[eid]
-            cap = caps.w_caps[eid]
-            if len(members) > cap:
-                raise InfeasibleSelectionError(
-                    f"edge {eid}: {len(members)} requests exceed {cap} channels"
-                )
-            if sum(self.hi[i] for i in members) > cap:
-                constraints.append((tuple(members), float(cap)))
+        for kind, members_of, caps_of, what, unit in (
+                ("node", node_members, caps.q_caps, "allocated edges", "qubits"),
+                ("edge", edge_members, caps.w_caps, "requests", "channels")):
+            for j in sorted(members_of):
+                members, cap = members_of[j], caps_of[j]
+                if len(members) > cap:
+                    raise InfeasibleSelectionError(
+                        f"{kind} {j}: {len(members)} {what} exceed {cap} {unit}"
+                    )
+                if sum(self.hi[i] for i in members) > cap:
+                    constraints.append((tuple(members), float(cap)))
         if self.budget is not None:
             constraints.append(self.budget)
         self.constraints = constraints
@@ -251,37 +244,32 @@ class _Instance:
     def _project(self, x: list[float]) -> tuple[list[float], bool]:
         """Scale the variables of overloaded constraints toward 1, in place.
 
-        Shrinking only ever lowers loads, so a few passes reach feasibility
-        whenever the all-ones point is feasible (checked at build time).
+        Scaling one constraint's members toward 1 only lowers the loads of
+        the others, so one pass in constraint order meets every cap whenever
+        the all-ones point is feasible (checked at build time).
         """
         changed = False
-        for _ in range(50):
-            clean = True
-            for members, cap in self.constraints:
-                load = sum([x[i] for i in members])
-                if load > cap + 1e-12:
-                    k = len(members)
-                    rho = (cap - k) / (load - k) if load > k else 0.0
-                    rho = min(max(rho, 0.0), 1.0)
-                    for i in members:
-                        x[i] = 1.0 + (x[i] - 1.0) * rho
-                    clean = False
-                    changed = True
-            if clean:
-                break
+        for members, cap in self.constraints:
+            load = sum([x[i] for i in members])
+            if load > cap + 1e-12:
+                k = len(members)
+                rho = (cap - k) / (load - k) if load > k else 0.0
+                rho = min(max(rho, 0.0), 1.0)
+                for i in members:
+                    x[i] = 1.0 + (x[i] - 1.0) * rho
+                changed = True
         return x, changed
 
     def _meet_cap(self, members: Sequence[int], cap: float, theta: list[float],
-                  old: float, tried: float | None, x: list[float], slope: list[float],
-                  trial_x: list[float], trial_slope: list[float]) -> tuple[float, float | None]:
+                  old: float, x: list[float], slope: list[float],
+                  trial_x: list[float], trial_slope: list[float]) -> float:
         """Multiplier at which an overloaded constraint's load meets ``cap``.
 
         Safeguarded Newton on the monotone load curve over [0, the price
         that floors every member].  ``theta`` includes the multiplier at
-        ``old``, where ``x`` and ``slope`` hold the members' values.  Each
-        other shift tried leaves the members' values in ``trial_x`` and
-        ``trial_slope``; returns the multiplier and the last shift tried
-        (``tried`` when none is).
+        ``old``, where ``x`` and ``slope`` hold the members' values.  When
+        the returned multiplier differs from ``old``, ``trial_x`` and
+        ``trial_slope`` hold the members' values at it.
         """
         lo = 0.0
         hi_nu = -math.inf
@@ -301,18 +289,19 @@ class _Instance:
                     load += x[i]
                     d_load += slope[i]
             else:
-                tried = guess - old
-                load, d_load = self._load(members, theta, tried, trial_x, trial_slope)
+                load, d_load = self._load(members, theta, guess - old, trial_x, trial_slope)
             err = load - cap
             if abs(err) <= tol_load:
-                break
+                return guess
             if err > 0.0:
                 lo = guess
             else:
                 hi_nu = guess
             step = guess - err / d_load if d_load < 0.0 else math.inf
             guess = step if lo < step < hi_nu else 0.5 * (lo + hi_nu)
-        return guess, tried
+        if guess != old:  # the last guess was never evaluated
+            self._load(members, theta, guess - old, trial_x, trial_slope)
+        return guess
 
     def _initial_bound(self) -> float:
         """Upper bound on the relaxed optimum before any multiplier moves.
@@ -328,17 +317,17 @@ class _Instance:
         if self.budget is not None:
             members, cap = self.budget
             if sum(x) > cap:
+                # Some member sits above 1 (the all-ones cost fits), so the
+                # bracket's top exceeds 1 and every guess lies strictly inside
+                # (0, top): lam > 0, and the trial values are those at lam.
                 trial_x, trial_slope = [0.0] * n, [0.0] * n
-                lam, tried = self._meet_cap(members, cap, theta, 0.0, None,
-                                            x, slope, trial_x, trial_slope)
-                if lam != tried:
-                    self._load(members, theta, lam, trial_x, trial_slope)
+                lam = self._meet_cap(members, cap, theta, 0.0,
+                                     x, slope, trial_x, trial_slope)
                 lagrangian = self._value(trial_x, theta)[1] - lam * (sum(trial_x) - cap)
                 bound = min(bound, lagrangian)
         return bound
 
-    def solve_relaxed(self, tol: float = _DEFAULT_GAP_TOL,
-                      max_updates: int = _MAX_MULTIPLIER_UPDATES,
+    def solve_relaxed(self, max_updates: int = _MAX_MULTIPLIER_UPDATES,
                       ) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
 
@@ -348,7 +337,7 @@ class _Instance:
         multiplier moves to where its constraint's load meets its cap (or
         to zero when slack), via safeguarded Newton steps on the monotone
         load curve.  Terminates when the relative duality gap of the
-        feasibility-projected primal drops below ``tol``.
+        feasibility-projected primal drops below ``_GAP_TOL``.
 
         The maximizer ``x`` of every variable at its current price
         ``theta`` and its slope are kept as state, refreshed only for the
@@ -364,13 +353,7 @@ class _Instance:
         n = len(self.keys)
         theta = [self.q] * n
         x, slope = self.x0[:], self.slope0[:]
-        if not self.constraints:
-            # The value is then the zero-multiplier bound, which the build
-            # checked against the floor.
-            return x, self._value(x, theta)[0]
-
-        # Member values at the last shift tried, kept if the multiplier
-        # settles there.
+        # Member values at a constraint's new multiplier.
         trial_x, trial_slope = [0.0] * n, [0.0] * n
         bound, floor = self.bound, self.floor
         nu = [0.0] * len(self.constraints)
@@ -382,7 +365,6 @@ class _Instance:
             moved = False
             for ci, (members, cap) in enumerate(self.constraints):
                 old = nu[ci]
-                tried = None
                 if old == 0.0:
                     load = 0.0
                     for i in members:
@@ -390,25 +372,17 @@ class _Instance:
                     if load <= cap:
                         continue  # slack and unpriced: nothing to update
                 else:
-                    tried = -old
-                    load, _ = self._load(members, theta, tried, trial_x, trial_slope)
+                    load, _ = self._load(members, theta, -old, trial_x, trial_slope)
                 updates += 1
-                if load <= cap:
-                    new = 0.0
-                else:
-                    new, tried = self._meet_cap(members, cap, theta, old, tried,
-                                                x, slope, trial_x, trial_slope)
+                new = 0.0 if load <= cap else self._meet_cap(
+                    members, cap, theta, old, x, slope, trial_x, trial_slope)
                 if new != old:
                     nu[ci] = new
                     delta = new - old
                     for i in members:
                         theta[i] += delta
-                    if delta == tried:
-                        for i in members:
-                            x[i] = trial_x[i]
-                            slope[i] = trial_slope[i]
-                    else:
-                        self._load(members, theta, 0.0, x, slope)
+                        x[i] = trial_x[i]
+                        slope[i] = trial_slope[i]
                     if abs(delta) > 1e-12 * (1.0 + abs(old)):
                         moved = True
                 if updates >= max_updates:
@@ -426,7 +400,7 @@ class _Instance:
             if f_feas > best_f:
                 best_f, best_x = f_feas, feas
             gap = dual - f_feas
-            if gap <= tol * max(1.0, abs(f_feas)):
+            if gap <= _GAP_TOL * max(1.0, abs(f_feas)):
                 return feas, f_feas
             if not moved:
                 break
@@ -489,11 +463,10 @@ class _Instance:
 
 
 def solve_relaxed(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
-                  params: PerSlotObjectiveParams,
-                  tol: float = _DEFAULT_GAP_TOL) -> RelaxedSolution:
+                  params: PerSlotObjectiveParams) -> RelaxedSolution:
     """Solve the continuous relaxation of the per-slot allocation problem."""
     inst = _Instance(graph, caps, routes, params)
-    x, objective = inst.solve_relaxed(tol=tol)
+    x, objective = inst.solve_relaxed()
     return RelaxedSolution(dict(zip(inst.keys, x)), objective)
 
 
@@ -509,7 +482,6 @@ def round_allocation(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Rou
 
 def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
              params: PerSlotObjectiveParams,
-             tol: float = _DEFAULT_GAP_TOL,
              floor: float = -math.inf) -> tuple[Allocation, float]:
     """Relaxed solve plus rounding; returns the allocation and its objective.
 
@@ -524,7 +496,7 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     even when its node or edge capacities would make it infeasible.
     """
     inst = _Instance(graph, caps, routes, params, floor)
-    x, _ = inst.solve_relaxed(tol=tol)
+    x, _ = inst.solve_relaxed()
     counts = inst.round_down_and_fill(x)
     alloc = Allocation(dict(zip(inst.keys, counts)))
     return alloc, inst.integer_objective(counts)

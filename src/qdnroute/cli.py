@@ -26,18 +26,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="YAML config path, or 'default'")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's base seed")
+    parser.set_defaults(parser=parser)
 
 
 def _load(args) -> "ExperimentConfig":
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if getattr(args, "policy", None):
-        cfg = replace(cfg, policies=tuple(args.policy.split(",")))
-    if getattr(args, "workers", None) is not None:
-        cfg = replace(cfg, workers=args.workers)
+    """The config with its command-line overrides; a bad one is a usage error."""
+    try:
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if getattr(args, "trials", None) is not None:
+            cfg = replace(cfg, trials=args.trials)
+        if getattr(args, "policy", None):
+            cfg = replace(cfg, policies=tuple(args.policy.split(",")))
+        if getattr(args, "workers", None) is not None:
+            cfg = replace(cfg, workers=args.workers)
+    except (OSError, ValueError) as exc:
+        args.parser.error(str(exc))
     return cfg
 
 
@@ -96,6 +101,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_validate(args) -> int:
     """Monte-Carlo versus analytic success probability on random instances."""
+    for name in ("samples", "instances"):
+        if getattr(args, name) < 1:
+            args.parser.error(f"argument --{name}: must be >= 1")
     cfg = _load(args)
     rng = np.random.default_rng(cfg.seed)
     failures = 0
@@ -158,7 +166,7 @@ def main(argv=None) -> int:
     p.add_argument("--policy", default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep, parser=p)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="print the theoretical bound quantities")
     _add_common(p)

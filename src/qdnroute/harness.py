@@ -68,6 +68,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         reject_non_finite(self)
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
         if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
         if not self.workers >= 0:

@@ -13,8 +13,10 @@ Core claims:
       the exhaustive integer optimum
     - infeasible selections raise; budget caps are hard; raising the cost
       price never increases the returned cost
-    - allocate() outputs on a fixed instance set match a recorded digest
-      bit for bit
+    - the one-pass projection returns exactly what repeated passes until
+      none changes anything return, and leaves every constraint within cap
+    - allocate() and solve_relaxed() outputs on a fixed instance set match
+      recorded digests bit for bit
     - allocate(floor=...) either returns exactly what allocate() returns or
       raises DominatedError with a bound that is at least the objective and
       below the floor; on a selection that breaks a node or edge capacity
@@ -285,6 +287,45 @@ class TestRounding:
             allocate(g, caps, routes, PerSlotObjectiveParams(V=1.0, q=0.0))
 
 
+def _project_by_passes(constraints, x):
+    """Projection oracle: repeat passes over the constraints, scaling each
+    overloaded one toward 1, until a pass changes nothing (at most 50)."""
+    changed = False
+    for _ in range(50):
+        clean = True
+        for members, cap in constraints:
+            load = sum([x[i] for i in members])
+            if load > cap + 1e-12:
+                k = len(members)
+                rho = (cap - k) / (load - k) if load > k else 0.0
+                rho = min(max(rho, 0.0), 1.0)
+                for i in members:
+                    x[i] = 1.0 + (x[i] - 1.0) * rho
+                clean = False
+                changed = True
+        if clean:
+            break
+    return x, changed
+
+
+class TestProjection:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(),
+           top_share=st.floats(0.0, 1.0))
+    def test_one_pass_matches_repeated_passes(self, seed, capped, top_share):
+        rng = np.random.default_rng(seed)
+        inst = _Instance(*random_allocation_instance(rng, with_cost_cap=capped))
+        # Points inside the boxes [1, hi], a share of them at the top.
+        x = [h if rng.random() < top_share else float(rng.uniform(1.0, h))
+             for h in inst.hi]
+        got, changed = inst._project(list(x))
+        want, want_changed = _project_by_passes(inst.constraints, list(x))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert changed == want_changed
+        for members, cap in inst.constraints:
+            assert sum(got[i] for i in members) <= cap + 1e-12
+
+
 class TestAllocate:
     def test_unique_feasible_point(self):
         g = QdnGraph((1, 1), (EdgeSpec(0, 1, 1, 0.5, 1),))
@@ -345,28 +386,22 @@ class TestAllocate:
                 prev_cost = alloc.cost
 
 
-# SHA-256 of every allocate() output below.  A change that moves any output
-# bit (an allocation entry or the objective's last ulp) changes it; update it
-# only for a change that alters allocator outputs on purpose.
+# SHA-256 of every allocate() output, and of every solve_relaxed() output,
+# on the instance set below.  A change that moves any output bit (an
+# allocation entry, a relaxed value, or an objective's last ulp) changes
+# one; update it only for a change that alters allocator outputs on purpose.
+# The relaxed digest also catches a change of the solve's path that rounding
+# hides, such as a reordering of the coupling constraints.
 PINNED_OUTPUTS_SHA256 = "1cda94cbb9dcc14647bfcc326986030b50bdc29015bbcfd9d4903eac4c42b6f4"
+PINNED_RELAXED_SHA256 = "d091f4281f98d8f2383c1c21925a01bef35f98bd21c3cb6e65b922c983a0c0b8"
 
 
-def _pin(h, key, call):
-    try:
-        alloc, f = call()
-    except (InfeasibleSelectionError, NoConvergenceError) as exc:
-        h.update(f"{key}:{type(exc).__name__}\n".encode())
-        return
-    h.update(f"{key}:{sorted(alloc.items())!r}:{f.hex()}\n".encode())
-
-
-def test_outputs_pinned():
-    h = hashlib.sha256()
+def _pinned_instances():
+    """(key, graph, caps, routes, params) for each instance of the pinned set."""
     rng = np.random.default_rng(59)
     for k in range(200):
-        g, caps, routes, params = random_allocation_instance(
-            rng, with_cost_cap=bool(k % 2))
-        _pin(h, f"random{k}", lambda: allocate(g, caps, routes, params))
+        yield (f"random{k}",
+               *random_allocation_instance(rng, with_cost_cap=bool(k % 2)))
 
     # Every route combination of the first slots of the default config's
     # trial 0, priced by a queue (OSCAR) and under a hard slot cap (MA/MF).
@@ -385,9 +420,37 @@ def test_outputs_pinned():
         for choice in product(*(range(len(r.candidates)) for r in reqs)):
             routes = [r.candidates[c] for r, c in zip(reqs, choice)]
             for tag, params in (("priced", priced), ("capped", capped)):
-                _pin(h, f"slot{t}{choice}{tag}",
-                     lambda: allocate(graph, caps, routes, params))
-    assert h.hexdigest() == PINNED_OUTPUTS_SHA256
+                yield f"slot{t}{choice}{tag}", graph, caps, routes, params
+
+
+def _pinned_digest(render):
+    """SHA-256 over ``render(graph, caps, routes, params)`` of each pinned
+    instance, or the name of the allocator error it raises."""
+    h = hashlib.sha256()
+    for key, *instance in _pinned_instances():
+        try:
+            line = render(*instance)
+        except (InfeasibleSelectionError, NoConvergenceError) as exc:
+            line = type(exc).__name__
+        h.update(f"{key}:{line}\n".encode())
+    return h.hexdigest()
+
+
+def test_outputs_pinned():
+    def render(*instance):
+        alloc, f = allocate(*instance)
+        return f"{sorted(alloc.items())!r}:{f.hex()}"
+
+    assert _pinned_digest(render) == PINNED_OUTPUTS_SHA256
+
+
+def test_relaxed_pinned():
+    def render(*instance):
+        rel = solve_relaxed(*instance)
+        values = ",".join(v.hex() for _, v in sorted(rel.values.items()))
+        return f"{values}:{rel.objective.hex()}"
+
+    assert _pinned_digest(render) == PINNED_RELAXED_SHA256
 
 
 def _margin(f):

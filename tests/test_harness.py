@@ -5,7 +5,7 @@ Core claims:
       unknown keys raise ValueError naming the key and its section; the
       written YAML is pinned byte for byte
     - malformed configs (not a mapping, bad degree band, negative worker
-      count, empty or repeated policy list) raise ValueError
+      count, empty or repeated policy list, negative seed) raise ValueError
     - every parameter dataclass rejects a NaN or an infinity with a
       ValueError naming the field, from code, from a config mapping and
       from a sweep value
@@ -18,7 +18,9 @@ Core claims:
       sweeps; beta calibration hits the degree target; a C or node_count
       value that is not a whole number is rejected before any run, and
       the CLI reports a bad --values entry as a usage error
-    - the CLI subcommands run end to end
+    - the CLI subcommands run end to end; a bad config file or override
+      (seed, trials, policy, workers) and a validate --samples or
+      --instances below 1 are usage errors (exit 2), not tracebacks
 """
 
 import csv
@@ -219,6 +221,7 @@ class TestConfig:
         ({"workers": -3}, "workers"),
         ({"policies": []}, "at least one policy"),
         ({"policies": ["OSCAR", "MA", "OSCAR"]}, "must not repeat"),
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_invalid_values_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
@@ -467,9 +470,33 @@ class TestCli:
         assert code == 0
         assert "within 3 sigma" in capsys.readouterr().out
 
-    def test_repeated_policy_rejected(self):
-        with pytest.raises(ValueError, match="must not repeat"):
+    def test_repeated_policy_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--policy", "OSCAR,OSCAR", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "must not repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, why", [
+        (["validate", "--instances", "-1"], "argument --instances: must be >= 1"),
+        (["validate", "--samples", "0"], "argument --samples: must be >= 1"),
+        (["run", "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
+        (["bounds", "--seed", "-3"], "seed must be >= 0"),
+        (["run", "--trials", "0", "--out", "{out}"], "trials must be >= 1"),
+        (["run", "--workers", "-1", "--out", "{out}"], "workers must be >= 0"),
+        (["run", "--policy", "FOO", "--out", "{out}"], "unknown policy 'FOO'"),
+        (["run", "--config", "{missing}", "--out", "{out}"], "No such file"),
+        (["bounds", "--config", "{bad_key}"], "unknown config key 'nope'"),
+    ])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, argv, why):
+        bad_key = tmp_path / "bad.yaml"
+        bad_key.write_text("nope: 1\n")
+        argv = [a.format(missing=tmp_path / "missing.yaml", bad_key=bad_key,
+                         out=tmp_path / "out") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert why in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
