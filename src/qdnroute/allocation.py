@@ -21,7 +21,7 @@ from .model import (
     QdnGraph,
     Route,
     SlotCapacities,
-    reject_non_finite,
+    check_fields,
     slot_utility,
 )
 
@@ -65,7 +65,7 @@ class PerSlotObjectiveParams:
     cost_cap: int | None = None
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if not self.V > 0:
             raise ValueError("V must be positive")
         if not self.q >= 0:

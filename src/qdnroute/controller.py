@@ -19,7 +19,7 @@ from .allocation import Allocation, PerSlotObjectiveParams, delta_gap
 from .model import (
     QdnGraph,
     SlotCapacities,
-    reject_non_finite,
+    check_fields,
     route_success_prob,
     verify_feasible,
 )
@@ -45,7 +45,7 @@ class BudgetParams:
     q0: float = 0.0
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if not self.total_budget > 0:
             raise ValueError("total_budget must be positive")
         if not self.horizon >= 1:
@@ -66,7 +66,7 @@ class ControllerState:
     policy: str = "OSCAR"
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not self.q >= 0:

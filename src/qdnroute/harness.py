@@ -26,7 +26,7 @@ from .controller import (
     bound_summary,
     run_slot,
 )
-from .model import reject_non_finite
+from .model import check_fields
 from .routes import CandidateCache, RouteConfig, build_requests
 from .selection import DEFAULT_ENUMERATION_CAP, GibbsParams
 from .topology import (
@@ -67,7 +67,7 @@ class ExperimentConfig:
     gibbs: GibbsParams = field(default_factory=GibbsParams)
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         if not self.trials >= 1:
@@ -130,13 +130,17 @@ def _replace_from(base, doc: dict, section: str | None):
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a YAML config; the literal name ``default`` gives the stock one."""
+    """Read a YAML config; the literal name ``default`` gives the stock one.
+    A file that does not parse as YAML raises ValueError naming it."""
     if str(path) == "default":
         return default_config()
     import yaml  # deferred: single-process runs that never read YAML skip its import
 
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path} is not valid YAML: {exc}") from exc
     return config_from_dict({} if doc is None else doc)
 
 
@@ -382,9 +386,10 @@ def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> Experime
     if parameter == "q0":
         return replace(cfg, budget=replace(cfg.budget, q0=float(value)))
     if parameter == "node_count":
-        count = _whole(parameter, value)
-        beta = calibrate_beta(count, cfg.topology.alpha, cfg.topology.side)
-        return replace(cfg, topology=replace(cfg.topology, node_count=count, beta=beta))
+        # Built first, so that WaxmanParams rejects a bad count before calibration.
+        topo = replace(cfg.topology, node_count=_whole(parameter, value))
+        beta = calibrate_beta(topo.node_count, topo.alpha, topo.side)
+        return replace(cfg, topology=replace(topo, beta=beta))
     raise ValueError(f"unknown sweep parameter {parameter!r}; pick one of {SWEEPABLE}")
 
 

@@ -10,7 +10,10 @@ on the closed-form success probabilities defined here.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import re
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -22,14 +25,36 @@ class MissingAllocationError(KeyError):
     """A route edge has no channel-count entry in the allocation."""
 
 
-def reject_non_finite(params) -> None:
-    """Raise ValueError naming the first field of a parameter dataclass that
-    holds a NaN or an infinity, itself or as an element of a tuple."""
+@functools.cache
+def _annotation_type(annotation: str) -> tuple[type | tuple | None, bool, bool]:
+    # (accepted type, tuple?, None allowed?) of an int, float or str annotation,
+    # bare or in a tuple, maybe optional; no type for any other annotation.
+    m = re.fullmatch(r"(?P<tuple>tuple\[)?(?P<name>int|float|str)"
+                     r"(?:, (?:(?P=name)|\.\.\.))*\]?(?P<none> \| None)?", annotation)
+    if m is None:
+        return None, False, False
+    # The builtin types come first: they match at a tenth of an ABC check's cost.
+    kinds = {"int": (int, numbers.Integral), "float": (float, int, numbers.Real), "str": str}
+    return kinds[m["name"]], bool(m["tuple"]), bool(m["none"])
+
+
+def check_fields(params) -> None:
+    """Raise ValueError naming the first field of a parameter dataclass whose
+    value does not fit its ``int``, ``float`` or ``str`` annotation (bare, in
+    a tuple, or ``| None``; a bool is no number), or is a NaN or an infinity,
+    itself or in a tuple."""
     for f in fields(params):
         value = getattr(params, f.name)
-        items = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        kind, is_tuple, optional = _annotation_type(f.type)
+        if value is None and optional:
+            continue
+        if kind and isinstance(value, tuple) != is_tuple:
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        for v in value if isinstance(value, tuple) else (value,):
+            if kind and (not isinstance(v, kind) or isinstance(v, bool)):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def channel_success_prob(p_tilde: float, attempts: int) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import QdnGraph, Route, reject_non_finite
+from .model import QdnGraph, Route, check_fields
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class RouteConfig:
     max_hops: int = 6
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if not (self.max_candidates >= 1 and self.max_hops >= 1):
             raise ValueError("max_candidates and max_hops must be >= 1")
 

@@ -29,7 +29,7 @@ from .allocation import (
     PerSlotObjectiveParams,
     allocate,
 )
-from .model import QdnGraph, SlotCapacities, reject_non_finite
+from .model import QdnGraph, SlotCapacities, check_fields
 from .routes import SdRequest
 
 DEFAULT_ENUMERATION_CAP = 10_000
@@ -56,18 +56,16 @@ class GibbsParams:
     """Sampler controls: temperature, budgets, and the RNG seed.
 
     ``max_iters`` and ``stability_window`` default to 200 and 5 proposals
-    per request when left unset.  ``batch_disjoint`` lets requests whose
-    candidate sets share no edge evolve in the same iteration.
+    per request when left unset.
     """
 
     gamma: float = 500.0
     max_iters: int | None = None
     stability_window: int | None = None
     seed: int | Sequence[int] = 0
-    batch_disjoint: bool = False
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.max_iters is not None and not self.max_iters >= 1:
@@ -109,6 +107,17 @@ def _rejection_floor(u: float, f_old: float, gamma: float) -> float:
     return edge - 2e-9 * (1.0 + abs(edge))
 
 
+def _space(requests: Sequence[SdRequest]) -> list[int]:
+    """Candidate count per request; raises ValueError when there is no
+    request or a request has no candidate."""
+    if not requests:
+        raise ValueError("no requests to select routes for")
+    sizes = [len(req.candidates) for req in requests]
+    if any(s == 0 for s in sizes):
+        raise ValueError("every request needs at least one candidate route")
+    return sizes
+
+
 def _evaluate(graph: QdnGraph, caps: SlotCapacities, requests: Sequence[SdRequest],
               choice: tuple[int, ...], params: PerSlotObjectiveParams,
               floor: float = -math.inf) -> tuple[Allocation | None, float]:
@@ -135,11 +144,7 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
     combination.  Raises EnumerationCapError when the product space
     exceeds the cap, and AllInfeasibleError when no combination is feasible.
     """
-    if not requests:
-        raise ValueError("no requests to select routes for")
-    sizes = [len(req.candidates) for req in requests]
-    if any(s == 0 for s in sizes):
-        raise ValueError("every request needs at least one candidate route")
+    sizes = _space(requests)
     space = math.prod(sizes)
     if space > enumeration_cap:
         raise EnumerationCapError(
@@ -168,22 +173,6 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
     return selection, best_alloc, best_f
 
 
-def _disjoint_groups(requests: Sequence[SdRequest], order: list[int]) -> list[int]:
-    # Greedily extend the first request of `order` with requests whose
-    # candidate edge sets are disjoint from everything picked so far.
-    union: set[int] = set()
-    picked = []
-    for idx in order:
-        edges = set()
-        for route in requests[idx].candidates:
-            edges.update(route.edges)
-        if picked and (edges & union):
-            continue
-        picked.append(idx)
-        union |= edges
-    return picked
-
-
 def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
                  requests: Sequence[SdRequest],
                  params: PerSlotObjectiveParams,
@@ -209,82 +198,62 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     ``(iteration, proposal, f_cur, f_new, accepted)`` per proposal, with
     ``f_new = None`` for a proposal rejected by its bound.
     """
-    if not requests:
-        raise ValueError("no requests to select routes for")
-    sizes = [len(req.candidates) for req in requests]
-    if any(s == 0 for s in sizes):
-        raise ValueError("every request needs at least one candidate route")
-    count = len(requests)
+    sizes = _space(requests)
+    count = len(sizes)
     max_iters = gibbs.max_iters or _MAX_ITERS_PER_REQUEST * count
     window = gibbs.stability_window or _STABLE_WINDOW_PER_REQUEST * count
     rng = np.random.default_rng(gibbs.seed)
 
-    memo: dict[tuple[int, ...], tuple[Allocation | None, float]] = {}
-    bounds: dict[tuple[int, ...], float] = {}
+    # A solved choice maps to its (allocation, objective), a cut one to the
+    # tightest upper bound certified on its objective.
+    seen: dict[tuple[int, ...], tuple[Allocation | None, float] | float] = {}
 
-    def evaluate(choice: tuple[int, ...]) -> tuple[Allocation | None, float]:
-        if choice not in memo:
-            memo[choice] = _evaluate(graph, caps, requests, choice, params)
-        return memo[choice]
-
-    def loses(choice: tuple[int, ...], u: float) -> bool:
-        bound = bounds.get(choice, math.inf)
+    def loses(bound: float, u: float) -> bool:
         return u >= gibbs_accept_prob(bound + 1e-9 * (1.0 + abs(bound)), f_cur, gibbs.gamma)
 
-    def evaluate_or_reject(choice: tuple[int, ...],
-                           u: float) -> tuple[Allocation | None, float | None]:
+    def score(choice: tuple[int, ...],
+              u: float | None = None) -> tuple[Allocation | None, float | None]:
         # (None, None) when the choice's certified bound rejects it at u.
-        if choice not in memo:
-            if loses(choice, u):
+        known = seen.get(choice, math.inf)
+        if isinstance(known, tuple):
+            return known
+        if u is not None:
+            if loses(known, u):
                 return None, None
             try:
-                memo[choice] = _evaluate(graph, caps, requests, choice, params,
+                seen[choice] = _evaluate(graph, caps, requests, choice, params,
                                          _rejection_floor(u, f_cur, gibbs.gamma))
+                return seen[choice]
             except DominatedError as exc:
-                bounds[choice] = min(bounds.get(choice, math.inf), exc.bound)
-                if loses(choice, u):
+                seen[choice] = min(known, exc.bound)
+                if loses(seen[choice], u):
                     return None, None
-        return evaluate(choice)
+        seen[choice] = _evaluate(graph, caps, requests, choice, params)
+        return seen[choice]
 
-    current = None
-    f_cur = -math.inf
     for _ in range(_INIT_RETRIES):
-        choice = tuple(int(rng.integers(s)) for s in sizes)
-        alloc, f = evaluate(choice)
-        if alloc is not None:
-            current, f_cur = choice, f
+        current = tuple(int(rng.integers(s)) for s in sizes)
+        best_alloc, f_cur = score(current)
+        if best_alloc is not None:
             break
-    if current is None:
-        raise AllInfeasibleError(
-            f"no feasible initial selection in {_INIT_RETRIES} draws"
-        )
+    else:
+        raise AllInfeasibleError(f"no feasible initial selection in {_INIT_RETRIES} draws")
 
-    best_choice, best_alloc, best_f = current, memo[current][0], f_cur
+    best_choice, best_f = current, f_cur
     stable = 0
     for it in range(max_iters):
         if stable >= window:
             break
-        if gibbs.batch_disjoint and count > 1:
-            order = [int(i) for i in rng.permutation(count)]
-            flips = _disjoint_groups(requests, order)
-        else:
-            flips = [int(rng.integers(count))]
-        proposal = list(current)
-        changed_any = False
-        for idx in flips:
-            if sizes[idx] < 2:
-                continue
-            alt = int(rng.integers(sizes[idx] - 1))
-            if alt >= current[idx]:
-                alt += 1
-            proposal[idx] = alt
-            changed_any = True
-        if not changed_any:
+        idx = int(rng.integers(count))
+        if sizes[idx] < 2:
             stable += 1
             continue
-        proposal = tuple(proposal)
+        alt = int(rng.integers(sizes[idx] - 1))
+        if alt >= current[idx]:
+            alt += 1
+        proposal = current[:idx] + (alt,) + current[idx + 1:]
         u = rng.random()
-        alloc, f_new = evaluate_or_reject(proposal, u)
+        alloc, f_new = score(proposal, u)
         accepted = f_new is not None and u < gibbs_accept_prob(f_new, f_cur, gibbs.gamma)
         if trace is not None:
             trace.append((it, proposal, f_cur, f_new, accepted))
@@ -307,7 +276,6 @@ def select_routes(graph: QdnGraph, caps: SlotCapacities,
                   enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
                   ) -> tuple[RouteSelection, Allocation, float]:
     """Exhaustive search when the product space fits the cap, Gibbs otherwise."""
-    sizes = [len(req.candidates) for req in requests]
-    if math.prod(sizes) <= enumeration_cap:
+    if math.prod(_space(requests)) <= enumeration_cap:
         return exhaustive_select(graph, caps, requests, params, enumeration_cap)
     return gibbs_select(graph, caps, requests, params, gibbs or GibbsParams())

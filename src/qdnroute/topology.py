@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EdgeSpec, QdnGraph, SlotCapacities, reject_non_finite
+from .model import EdgeSpec, QdnGraph, SlotCapacities, check_fields
 
 # Sub-stream tags keeping topology, capacity, workload, and sampler draws
 # independent of each other for a given seed.
@@ -48,7 +48,7 @@ class WaxmanParams:
     degree_band: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if not self.node_count >= 2:
             raise ValueError("node_count must be >= 2")
         if not 0.0 < self.alpha <= 1.0 or not 0.0 < self.beta <= 1.0:
@@ -77,7 +77,7 @@ class CapacityDistributions:
     attempts: int = 4000
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         for lo, hi in (self.qubit_range, self.channel_range):
             if not 1 <= lo <= hi:
                 raise ValueError(f"capacity range [{lo}, {hi}] must satisfy 1 <= lo <= hi")
@@ -97,7 +97,7 @@ class WorkloadParams:
     f_max: int = 5
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         lo, hi = self.sd_range
         if not 0 <= lo <= hi:
             raise ValueError(f"sd_range [{lo}, {hi}] must satisfy 0 <= lo <= hi")

@@ -5,7 +5,9 @@ Core claims:
       unknown keys raise ValueError naming the key and its section; the
       written YAML is pinned byte for byte
     - malformed configs (not a mapping, bad degree band, negative worker
-      count, empty or repeated policy list, negative seed) raise ValueError
+      count, empty or repeated policy list, negative seed) raise ValueError;
+      so do a value that does not fit its field's type, named by the field,
+      and a file that is not valid YAML, named by the file
     - every parameter dataclass rejects a NaN or an infinity with a
       ValueError naming the field, from code, from a config mapping and
       from a sweep value
@@ -16,7 +18,8 @@ Core claims:
     - histograms conserve request counts and bin correctly
     - sweeps emit one row per (value, policy) and adjust beta for node
       sweeps; beta calibration hits the degree target; a C or node_count
-      value that is not a whole number is rejected before any run, and
+      value that is not a whole number, or a node_count below 2, is
+      rejected before any run, and
       the CLI reports a bad --values entry as a usage error
     - the CLI subcommands run end to end; a bad config file or override
       (seed, trials, policy, workers) and a validate --samples or
@@ -25,7 +28,9 @@ Core claims:
 
 import csv
 import math
+import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,7 +88,7 @@ DEFAULT_YAML = (
     "workload:\n  sd_range:\n  - 1\n  - 5\n  f_max: 5\nroute:\n"
     "  max_candidates: 3\n  max_hops: 6\nbudget:\n  total_budget: 5000\n"
     "  horizon: 200\n  V: 2500.0\n  q0: 10.0\ngibbs:\n  gamma: 500.0\n"
-    "  max_iters: null\n  stability_window: null\n  batch_disjoint: false\n"
+    "  max_iters: null\n  stability_window: null\n"
 )
 OTHER_CONFIG = ExperimentConfig(
     topology=WaxmanParams(node_count=12, alpha=0.25, beta=0.75, side=50.0, seed=9,
@@ -93,8 +98,7 @@ OTHER_CONFIG = ExperimentConfig(
     workload=WorkloadParams(sd_range=(0, 2), f_max=3),
     route=RouteConfig(max_candidates=4, max_hops=5),
     budget=BudgetParams(total_budget=900, horizon=30, V=12.5, q0=0.0),
-    gibbs=GibbsParams(gamma=0.5, max_iters=40, stability_window=3, seed=[7, 3],
-                      batch_disjoint=True),
+    gibbs=GibbsParams(gamma=0.5, max_iters=40, stability_window=3, seed=[7, 3]),
     policies=("MA", "OSCAR"), trials=3, seed=41, enumeration_cap=64, workers=2,
 )
 OTHER_YAML = (
@@ -106,7 +110,7 @@ OTHER_YAML = (
     "workload:\n  sd_range:\n  - 0\n  - 2\n  f_max: 3\nroute:\n"
     "  max_candidates: 4\n  max_hops: 5\nbudget:\n  total_budget: 900\n"
     "  horizon: 30\n  V: 12.5\n  q0: 0.0\ngibbs:\n  gamma: 0.5\n"
-    "  max_iters: 40\n  stability_window: 3\n  batch_disjoint: true\n"
+    "  max_iters: 40\n  stability_window: 3\n"
 )
 
 
@@ -147,8 +151,7 @@ def configs(draw):
             V=draw(positive), q0=draw(st.floats(min_value=0.0, allow_infinity=False))),
         gibbs=GibbsParams(
             gamma=draw(positive), max_iters=draw(maybe_count),
-            stability_window=draw(maybe_count), seed=draw(st.integers(0, 2**32)),
-            batch_disjoint=draw(st.booleans())),
+            stability_window=draw(maybe_count), seed=draw(st.integers(0, 2**32))),
     )
 
 
@@ -195,6 +198,9 @@ class TestConfig:
         # a misspelled key must not silently fall back to its default
         with pytest.raises(ValueError, match="'Q0' in section 'budget'"):
             config_from_dict({"budget": {"Q0": 5}})
+        # a key removed from the sampler must not be silently ignored
+        with pytest.raises(ValueError, match="'batch_disjoint' in section 'gibbs'"):
+            config_from_dict({"gibbs": {"batch_disjoint": False}})
         sections = [k for k, v in config_to_dict(default_config()).items()
                     if isinstance(v, dict)]
         assert len(sections) == 6
@@ -208,6 +214,38 @@ class TestConfig:
     def test_non_mapping_rejected(self, doc):
         with pytest.raises(ValueError, match="config must be a mapping"):
             config_from_dict(doc)
+
+    def test_yaml_syntax_error_names_file(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("seed: [\n")
+        with pytest.raises(ValueError, match="broken.yaml is not valid YAML"):
+            load_config(path)
+
+    @pytest.mark.parametrize("doc, why", [
+        ({"trials": 1.5}, "trials must be of type int, got 1.5"),
+        ({"trials": "3"}, "trials must be of type int, got '3'"),
+        ({"budget": {"horizon": 2.5}}, "horizon must be of type int, got 2.5"),
+        ({"budget": {"horizon": "200"}}, "horizon must be of type int, got '200'"),
+        ({"route": {"max_hops": True}}, "max_hops must be of type int, got True"),
+        ({"policies": "OSCAR"}, "policies must be of type tuple[str, ...], got 'OSCAR'"),
+        ({"budget": {"V": "2500"}}, "V must be of type float, got '2500'"),
+        ({"budget": {"q0": False}}, "q0 must be of type float, got False"),
+        ({"capacities": {"fluctuation": 1}}, "fluctuation must be of type str, got 1"),
+        ({"gibbs": {"max_iters": 2.5}}, "max_iters must be of type int | None, got 2.5"),
+        ({"workload": {"sd_range": [1, 2.5]}},
+         "sd_range must be of type tuple[int, int], got (1, 2.5)"),
+        ({"topology": {"degree_band": ["3", 4]}},
+         "degree_band must be of type tuple[float, float] | None, got ('3', 4)"),
+    ])
+    def test_wrong_types_rejected(self, doc, why):
+        # each used to pass, or to fail with a TypeError or a misleading message
+        with pytest.raises(ValueError, match=re.escape(why)):
+            config_from_dict(doc)
+
+    def test_numpy_scalars_accepted(self):
+        budget = BudgetParams(np.int64(5000), 200, np.float64(2.5), q0=np.int32(1))
+        assert budget.total_budget == 5000 and budget.q0 == 1
+        assert ControllerState(q=np.float64(0.5), cumulative_cost=np.int64(3)).slot == 0
 
     def test_non_mapping_yaml_rejected(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -419,6 +457,15 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"{param} must be a whole number, got {value!r}"):
             _apply_sweep_value(tiny_config(), param, value)
 
+    def test_small_node_count_rejected_before_calibration(self):
+        # calibrating beta for one node averaged an empty array into NaN
+        from qdnroute.harness import _apply_sweep_value
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="node_count must be >= 2"):
+                _apply_sweep_value(tiny_config(), "node_count", 1)
+
     def test_whole_float_count_accepted(self):
         from qdnroute.harness import _apply_sweep_value
 
@@ -486,12 +533,16 @@ class TestCli:
         (["run", "--policy", "FOO", "--out", "{out}"], "unknown policy 'FOO'"),
         (["run", "--config", "{missing}", "--out", "{out}"], "No such file"),
         (["bounds", "--config", "{bad_key}"], "unknown config key 'nope'"),
+        (["run", "--config", "{bad_type}", "--out", "{out}"],
+         "trials must be of type int, got 1.5"),
+        (["bounds", "--config", "{bad_yaml}"], "bad_yaml.yaml is not valid YAML"),
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, argv, why):
-        bad_key = tmp_path / "bad.yaml"
-        bad_key.write_text("nope: 1\n")
-        argv = [a.format(missing=tmp_path / "missing.yaml", bad_key=bad_key,
-                         out=tmp_path / "out") for a in argv]
+        files = {"bad_key": "nope: 1\n", "bad_type": "trials: 1.5\n", "bad_yaml": "seed: [\n"}
+        for key, text in files.items():
+            (tmp_path / f"{key}.yaml").write_text(text)
+        argv = [a.format(missing=tmp_path / "missing.yaml", out=tmp_path / "out",
+                         **{key: tmp_path / f"{key}.yaml" for key in files}) for a in argv]
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
@@ -510,6 +561,7 @@ class TestCli:
     @pytest.mark.parametrize("param,values,why", [
         ("C", "150,2500.9", "whole number"),
         ("node_count", "20.7", "whole number"),
+        ("node_count", "1", "node_count must be >= 2"),
         ("C", "150,abc", "'abc'"),
         ("V", "1.5,x.y", "'x.y'"),
         ("V", "1e999", "V must be finite, got inf"),

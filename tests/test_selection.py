@@ -17,7 +17,8 @@ Core claims:
       exactly what it returns when every combination is solved, ties
       included; capped objectives pass no floor
     - Gibbs and exhaustive slots of the default config's trial 0 match
-      recorded digests bit for bit
+      recorded digests bit for bit, and so does every allocator call the
+      Gibbs slots make, with its floor and outcome
 """
 
 import hashlib
@@ -231,18 +232,6 @@ class TestGibbs:
             gibbs_select(g, caps, reqs, PerSlotObjectiveParams(V=1.0),
                          GibbsParams(gamma=1.0, seed=3))
 
-    def test_batched_disjoint_proposals(self):
-        rng = np.random.default_rng(31)
-        g, caps, routes, params = random_allocation_instance(rng, max_requests=3)
-        reqs = build_requests(g, [(r.nodes[0], r.nodes[-1]) for r in routes],
-                              RouteConfig(max_candidates=3, max_hops=4))
-        if not all(r.servable for r in reqs):
-            pytest.skip("unservable draw")
-        sel, alloc, f = gibbs_select(g, caps, reqs, params,
-                                     GibbsParams(gamma=1.0, seed=7, batch_disjoint=True))
-        chosen = [r.candidates[sel[r.request_id]] for r in reqs]
-        assert verify_feasible(g, caps, chosen, alloc).ok
-
 
 class TestAutoSelect:
     def test_dispatches_to_exhaustive_when_small(self):
@@ -387,8 +376,7 @@ class TestBoundRejection:
                                   RouteConfig(max_candidates=3, max_hops=4))
             if not all(r.servable for r in reqs):
                 continue
-            gibbs_params = GibbsParams(gamma=float(10 ** rng.uniform(-1, 1.5)),
-                                       seed=pairs, batch_disjoint=pairs % 2 == 1)
+            gibbs_params = GibbsParams(gamma=float(10 ** rng.uniform(-1, 1.5)), seed=pairs)
             with monkeypatch.context() as m:
                 m.setattr(selection, "allocate", counting)
                 got, trace = outcome(gibbs_params)
@@ -463,10 +451,12 @@ class TestIncumbentFloor:
         assert len(cut) > 100
 
 
-# SHA-256 of every slot of the tests below; update one only for a change
-# that alters selections or allocations on purpose.
+# SHA-256 of every slot, and of every Gibbs allocator call, of the tests
+# below; update one only for a change that alters selections, allocations or
+# the calls that find them on purpose.
 PINNED_GIBBS_SHA256 = "1cc65a3ef29950ff1c0aef3890fdbbe772b5269f7294589b0affa2c90d5c98be"
 PINNED_EXHAUSTIVE_SHA256 = "0b6acd8b7e27cfaf1b59bdb3238de53e4fd56b69b9c9bf283913cd634d4fd901"
+PINNED_CALLS_SHA256 = "b66c8c87926c0f631916d224fdede136729b4e78c3fc67cd2cc61fa7dee792e9"
 
 
 def _slots_digest(slots, enumeration_cap):
@@ -499,3 +489,26 @@ def test_gibbs_slots_pinned():
 def test_exhaustive_slots_pinned():
     # At the stock cap every slot of the default config is exhaustive.
     assert _slots_digest(10, selection.DEFAULT_ENUMERATION_CAP) == PINNED_EXHAUSTIVE_SHA256
+
+
+def test_gibbs_calls_pinned(monkeypatch):
+    # Every allocator call of the Gibbs slots above: the chosen routes, the
+    # floor, and the objective, the certified bound of a cut, or the error.
+    h = hashlib.sha256()
+
+    def recording(graph, caps, routes, params, floor=-math.inf):
+        call = f"{[r.edges for r in routes]}:{floor.hex()}"
+        try:
+            alloc, f = allocate(graph, caps, routes, params, floor=floor)
+        except DominatedError as exc:
+            h.update(f"{call}:cut:{exc.bound.hex()}\n".encode())
+            raise
+        except (InfeasibleSelectionError, NoConvergenceError) as exc:
+            h.update(f"{call}:{type(exc).__name__}\n".encode())
+            raise
+        h.update(f"{call}:{f.hex()}\n".encode())
+        return alloc, f
+
+    monkeypatch.setattr(selection, "allocate", recording)
+    _slots_digest(20, 2)
+    assert h.hexdigest() == PINNED_CALLS_SHA256
