@@ -8,12 +8,22 @@ linear constraints), solve the relaxation by dual decomposition, then
 down-round and greedily hand out surplus.  The rounded point is guaranteed
 to be feasible, component-wise within 1 of the relaxed optimum, and within
 an additive gap ``delta_gap(V, F, L, p_min)`` of the integer optimum.
+
+A route search calls ``allocate`` for many combinations of the same few
+candidate routes.  A ``VariablePool`` builds each route's block of
+per-variable arrays once per slot, and keeps the pricings from zero
+multipliers that recur across combinations.  A call's instance
+joins its routes' blocks; a call without a pool builds one for its own
+routes, so every call runs the same code and gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, attrgetter
 from typing import Sequence
 
 from .model import (
@@ -28,6 +38,8 @@ from .model import (
 _GAP_TOL = 1e-6
 _MAX_MULTIPLIER_UPDATES = 10_000
 _NEWTON_STEPS = 60
+
+_request_id = attrgetter("request_id")
 
 
 class InfeasibleSelectionError(RuntimeError):
@@ -95,108 +107,18 @@ def per_slot_objective(graph: QdnGraph, routes: Sequence[Route],
     return params.V * slot_utility(graph, routes, alloc) - params.q * alloc.cost
 
 
-class _Instance:
-    """One slot's allocation problem in flat-array form.
+class _Variables:
+    """Per-variable arrays of (request, edge) pairs, in sorted key order.
 
-    Variables are the (request, edge) pairs of the selected routes, in
-    sorted key order.  Constraints couple variables through node loads,
-    edge loads, and the optional budget; constraints that cannot bind under
-    the per-variable boxes are dropped.  ``budget`` is the budget
-    constraint when it is one of them, else None.
-
-    Built in two stages: the per-variable arrays and the budget first, the
-    node and edge constraints second.  With a ``floor``, the bound of
-    ``_initial_bound`` is checked between the two, so an instance certified
-    to lie below the floor raises DominatedError before its coupling
-    constraints are built or checked.
+    ``ends`` holds each variable's edge endpoints, ``hi`` its box, and
+    ``theta_one`` the price above which its unclamped stationary point
+    drops to 1.  ``x0`` and ``slope0`` are its box-clamped maximizer and
+    slope at price ``q`` (all multipliers zero: the dual solve's start),
+    and ``terms`` its utility ``V*ln(1-a^x0)`` there.
     """
 
-    __slots__ = ("keys", "lna", "vlna", "hi", "theta_one", "constraints",
-                 "budget", "cons_of_var", "V", "q", "x0", "slope0", "bound", "floor")
-
-    def __init__(self, graph: QdnGraph, caps: SlotCapacities,
-                 routes: Sequence[Route], params: PerSlotObjectiveParams,
-                 floor: float = -math.inf):
-        self.V = params.V
-        self.q = params.q
-        keys = []
-        for route in routes:
-            if route.request_id is None:
-                raise ValueError("routes must be bound to a request id")
-            for eid in route.edges:
-                keys.append((route.request_id, eid))
-        keys.sort()
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate (request, edge) variable; one route per request")
-        self.keys = keys
-        n = len(keys)
-
-        self.lna, self.vlna, self.hi, self.theta_one = [], [], [], []
-        edges = graph.edges
-        log_fail = graph.log_fail
-        p_edge = graph.p_edge
-        q_caps, w_caps = caps.q_caps, caps.w_caps
-        for _, eid in keys:
-            e = edges[eid]
-            lna = log_fail[eid]
-            self.lna.append(lna)
-            self.vlna.append(self.V * lna)
-            self.hi.append(float(min(w_caps[eid], q_caps[e.u], q_caps[e.v])))
-            # Price above which the unclamped stationary point drops to 1.
-            a = 1.0 - p_edge[eid]
-            self.theta_one.append(-self.V * lna * a / (1.0 - a))
-        self.budget = None
-        if params.cost_cap is not None:
-            if n > params.cost_cap:
-                raise InfeasibleSelectionError(
-                    f"all-ones cost {n} exceeds slot budget {params.cost_cap}"
-                )
-            if sum(self.hi) > params.cost_cap:
-                self.budget = (tuple(range(n)), float(params.cost_cap))
-
-        # Maximizers and slopes at zero multipliers: the dual solve's start.
-        self.x0, self.slope0 = [0.0] * n, [0.0] * n
-        self._load(range(n), [self.q] * n, 0.0, self.x0, self.slope0)
-        self.floor = floor
-        self.bound = math.inf
-        if floor > -math.inf:
-            self.bound = self._initial_bound()
-            if self.bound < floor:
-                raise DominatedError(self.bound)
-        self._couple(graph, caps)
-
-    def _couple(self, graph: QdnGraph, caps: SlotCapacities) -> None:
-        """Node constraints, then edge constraints, then the budget."""
-        node_members: dict[int, list[int]] = {}
-        edge_members: dict[int, list[int]] = {}
-        edges = graph.edges
-        for i, (_, eid) in enumerate(self.keys):
-            e = edges[eid]
-            node_members.setdefault(e.u, []).append(i)
-            node_members.setdefault(e.v, []).append(i)
-            edge_members.setdefault(eid, []).append(i)
-
-        constraints: list[tuple[tuple[int, ...], float]] = []
-        for kind, members_of, caps_of, what, unit in (
-                ("node", node_members, caps.q_caps, "allocated edges", "qubits"),
-                ("edge", edge_members, caps.w_caps, "requests", "channels")):
-            for j in sorted(members_of):
-                members, cap = members_of[j], caps_of[j]
-                if len(members) > cap:
-                    raise InfeasibleSelectionError(
-                        f"{kind} {j}: {len(members)} {what} exceed {cap} {unit}"
-                    )
-                if sum(self.hi[i] for i in members) > cap:
-                    constraints.append((tuple(members), float(cap)))
-        if self.budget is not None:
-            constraints.append(self.budget)
-        self.constraints = constraints
-        self.cons_of_var: list[list[int]] = [[] for _ in self.keys]
-        for ci, (members, _) in enumerate(constraints):
-            for i in members:
-                self.cons_of_var[i].append(ci)
-
-    # -- relaxed program ----------------------------------------------------
+    __slots__ = ("V", "q", "keys", "ends", "lna", "vlna", "hi", "theta_one",
+                 "x0", "slope0", "terms")
 
     def _load(self, members: Sequence[int], theta: list[float], shift: float,
               x: list[float], slope: list[float]) -> tuple[float, float]:
@@ -227,6 +149,168 @@ class _Instance:
             slope[i] = si
             load += xi
         return load, total
+
+
+class _Block(_Variables):
+    """The variables of one route: its edges in id order."""
+
+    __slots__ = ("route", "request_id")
+
+    def __init__(self, graph: QdnGraph, caps: SlotCapacities, route: Route,
+                 params: PerSlotObjectiveParams):
+        if route.request_id is None:
+            raise ValueError("routes must be bound to a request id")
+        eids = sorted(route.edges)
+        if len(set(eids)) != len(eids):
+            raise ValueError("duplicate (request, edge) variable; one route per request")
+        V = self.V = params.V
+        self.q = params.q
+        self.route = route
+        self.request_id = route.request_id
+        self.keys = [(route.request_id, eid) for eid in eids]
+        edges, q_caps, w_caps = graph.edges, caps.q_caps, caps.w_caps
+        self.ends = [(edges[eid].u, edges[eid].v) for eid in eids]
+        self.lna = [graph.log_fail[eid] for eid in eids]
+        self.vlna = [V * lna for lna in self.lna]
+        self.hi = [float(min(w_caps[eid], q_caps[u], q_caps[v]))
+                   for eid, (u, v) in zip(eids, self.ends)]
+        self.theta_one = []
+        for eid, lna in zip(eids, self.lna):
+            a = 1.0 - graph.p_edge[eid]
+            self.theta_one.append(-V * lna * a / (1.0 - a))
+        n = len(eids)
+        self.x0, self.slope0 = [0.0] * n, [0.0] * n
+        self._load(range(n), [self.q] * n, 0.0, self.x0, self.slope0)
+        log, expm1 = math.log, math.expm1
+        self.terms = [V * log(-expm1(xi * lna)) for xi, lna in zip(self.x0, self.lna)]
+
+
+class VariablePool:
+    """One slot's route blocks, each built once and shared by every call.
+
+    A route search calls ``allocate`` once per route combination or Gibbs
+    proposal, under one slot's graph, capacities and objective, while the
+    same few candidate routes recur across those calls.  The pool builds a
+    route's block of per-variable arrays on its first use and keeps it, so
+    a call that passes the pool assembles its instance from blocks instead
+    of from the graph.  Blocks are keyed by route identity (the searches
+    pass the requests' own candidate objects); each block holds its route,
+    so no key is reused while the pool lives.  ``pricings`` keeps results
+    of ``_Instance._meet_cap`` from zero multipliers.
+    """
+
+    __slots__ = ("graph", "caps", "params", "_blocks", "pricings")
+
+    def __init__(self, graph: QdnGraph, caps: SlotCapacities,
+                 params: PerSlotObjectiveParams):
+        self.graph, self.caps, self.params = graph, caps, params
+        self._blocks: dict[int, _Block] = {}
+        # (multiplier, members' trial values, members' trial slopes) by the
+        # constraint's cap and its members' keys and prices.
+        self.pricings: dict[tuple, tuple[float, list[float], list[float]]] = {}
+
+    def block(self, route: Route) -> _Block:
+        found = self._blocks.get(id(route))
+        if found is None:
+            found = self._blocks[id(route)] = _Block(self.graph, self.caps, route,
+                                                     self.params)
+        return found
+
+
+class _Instance(_Variables):
+    """One slot's allocation problem in flat-array form.
+
+    Variables are the (request, edge) pairs of the selected routes, in
+    sorted key order: the routes' blocks from a ``VariablePool``, joined in
+    request-id order.  Constraints couple variables through node loads,
+    edge loads, and the optional budget; constraints that cannot bind under
+    the per-variable boxes are dropped.  ``budget`` is the budget
+    constraint when it is one of them, else None.
+
+    Built in two stages: the joined per-variable arrays and the budget
+    first, the node and edge constraints second, from the blocks' endpoint
+    ids.  With a ``floor``, the bound of ``_initial_bound`` is checked
+    between the two, so an instance certified to lie below the floor raises
+    DominatedError before its coupling constraints are built or checked.
+    Without a ``pool``, the instance builds its own for ``routes``; the
+    pool also shares ``_meet_cap``'s pricings from zero multipliers.
+    """
+
+    __slots__ = ("constraints", "budget", "bound", "floor", "pricings")
+
+    def __init__(self, graph: QdnGraph, caps: SlotCapacities,
+                 routes: Sequence[Route], params: PerSlotObjectiveParams,
+                 floor: float = -math.inf, pool: VariablePool | None = None):
+        if pool is None:
+            pool = VariablePool(graph, caps, params)
+        elif (pool.graph, pool.caps, pool.params) != (graph, caps, params):
+            raise ValueError("pool was built for another graph, capacities or objective")
+        blocks = sorted(map(pool.block, routes), key=_request_id)
+        self.pricings = pool.pricings
+        self.V, self.q = params.V, params.q
+        self.keys, self.ends, self.lna, self.vlna, self.hi = [], [], [], [], []
+        self.theta_one, self.x0, self.slope0, self.terms = [], [], [], []
+        last = None
+        for b in blocks:
+            if b.request_id == last:
+                raise ValueError("duplicate (request, edge) variable; one route per request")
+            last = b.request_id
+            self.keys += b.keys
+            self.ends += b.ends
+            self.lna += b.lna
+            self.vlna += b.vlna
+            self.hi += b.hi
+            self.theta_one += b.theta_one
+            self.x0 += b.x0
+            self.slope0 += b.slope0
+            self.terms += b.terms
+        n = len(self.keys)
+
+        self.budget = None
+        if params.cost_cap is not None:
+            if n > params.cost_cap:
+                raise InfeasibleSelectionError(
+                    f"all-ones cost {n} exceeds slot budget {params.cost_cap}"
+                )
+            if sum(self.hi) > params.cost_cap:
+                self.budget = (tuple(range(n)), float(params.cost_cap))
+
+        self.floor = floor
+        self.bound = math.inf
+        if floor > -math.inf:
+            self.bound = self._initial_bound()
+            if self.bound < floor:
+                raise DominatedError(self.bound)
+        self._couple(caps)
+
+    def _couple(self, caps: SlotCapacities) -> None:
+        """Node constraints, then edge constraints, then the budget."""
+        node_members: defaultdict[int, list[int]] = defaultdict(list)
+        edge_members: defaultdict[int, list[int]] = defaultdict(list)
+        for i, ((_, eid), (u, v)) in enumerate(zip(self.keys, self.ends)):
+            node_members[u].append(i)
+            node_members[v].append(i)
+            edge_members[eid].append(i)
+        hi = self.hi
+
+        constraints: list[tuple[tuple[int, ...], float]] = []
+        for kind, members_of, caps_of, what, unit in (
+                ("node", node_members, caps.q_caps, "allocated edges", "qubits"),
+                ("edge", edge_members, caps.w_caps, "requests", "channels")):
+            for j in sorted(members_of):
+                members, cap = members_of[j], caps_of[j]
+                if len(members) > cap:
+                    raise InfeasibleSelectionError(
+                        f"{kind} {j}: {len(members)} {what} exceed {cap} {unit}"
+                    )
+                # A lone member's box already lies within the cap.
+                if len(members) > 1 and sum([hi[i] for i in members]) > cap:
+                    constraints.append((tuple(members), float(cap)))
+        if self.budget is not None:
+            constraints.append(self.budget)
+        self.constraints = constraints
+
+    # -- relaxed program ----------------------------------------------------
 
     def _value(self, x: Sequence[float], theta: Sequence[float]) -> tuple[float, float]:
         """Objective ``V*sum(ln P(x)) - q*sum(x)`` at ``x``, and that minus
@@ -270,7 +354,34 @@ class _Instance:
         ``old``, where ``x`` and ``slope`` hold the members' values.  When
         the returned multiplier differs from ``old``, ``trial_x`` and
         ``trial_slope`` hold the members' values at it.
+
+        Pricing from a zero multiplier depends only on the cap and the
+        members' keys and prices (``x`` and ``slope`` are functions of the
+        prices).  Such pricings of a constraint that leaves some variable
+        out recur across a slot's route combinations, so the pool keeps
+        their results; one over every variable recurs only with its whole
+        combination, and is solved afresh.
         """
+        if old != 0.0 or len(members) == len(self.keys):
+            return self._newton(members, cap, theta, old, x, slope, trial_x, trial_slope)
+        keys = self.keys
+        key = (cap, *[keys[i] for i in members], *[theta[i] for i in members])
+        known = self.pricings.get(key)
+        if known is None:
+            guess = self._newton(members, cap, theta, old, x, slope, trial_x, trial_slope)
+            self.pricings[key] = (guess, [trial_x[i] for i in members],
+                                  [trial_slope[i] for i in members])
+            return guess
+        guess, xs, slopes = known
+        for i, xi, si in zip(members, xs, slopes):
+            trial_x[i] = xi
+            trial_slope[i] = si
+        return guess
+
+    def _newton(self, members: Sequence[int], cap: float, theta: list[float],
+                old: float, x: list[float], slope: list[float],
+                trial_x: list[float], trial_slope: list[float]) -> float:
+        """``_meet_cap``'s search, without the pool's record."""
         lo = 0.0
         hi_nu = -math.inf
         theta_one = self.theta_one
@@ -309,14 +420,17 @@ class _Instance:
         The dual value at zero multipliers, tightened when the budget is a
         constraint by the budget-only Lagrangian at the price where the
         box maximizers' total meets the budget.  Needs only the
-        per-variable arrays and the budget.
+        per-variable arrays and the budget.  The zero-multiplier value is
+        ``_value(x0, q)``'s Lagrangian part, summed in the same order from
+        the blocks' ``terms``, so it has the same bits.
         """
         n = len(self.keys)
-        theta, x, slope = [self.q] * n, self.x0, self.slope0
-        bound = self._value(x, theta)[1]
+        x, slope = self.x0, self.slope0
+        bound = reduce(add, self.terms, 0.0) - self.q * reduce(add, x, 0.0)
         if self.budget is not None:
             members, cap = self.budget
             if sum(x) > cap:
+                theta = [self.q] * n
                 # Some member sits above 1 (the all-ones cost fits), so the
                 # bracket's top exceeds 1 and every guess lies strictly inside
                 # (0, top): lam > 0, and the trial values are those at lam.
@@ -387,16 +501,16 @@ class _Instance:
                         moved = True
                 if updates >= max_updates:
                     break
-            feas, shrunk = self._project(list(x))
             f_feas, dual = self._value(x, theta)
-            if shrunk:
-                f_feas = self._value(feas, theta)[0]
             for nu_c, (_, cap) in zip(nu, self.constraints):
                 dual += nu_c * cap
             if dual < bound:
                 bound = dual
                 if bound < floor:
                     raise DominatedError(bound)
+            feas, shrunk = self._project(list(x))
+            if shrunk:
+                f_feas = self._value(feas, theta)[0]
             if f_feas > best_f:
                 best_f, best_x = f_feas, feas
             gap = dual - f_feas
@@ -431,7 +545,11 @@ class _Instance:
         NoConvergenceError when the floored point is already infeasible,
         which happens only if the relaxed point was.
         """
-        n_vars, cons_of_var = len(self.keys), self.cons_of_var
+        n_vars = len(self.keys)
+        cons_of_var: list[list[int]] = [[] for _ in range(n_vars)]
+        for ci, (members, _) in enumerate(self.constraints):
+            for i in members:
+                cons_of_var[i].append(ci)
         caps = [cap for _, cap in self.constraints]
         counts = [max(1, math.floor(xi + 1e-9)) for xi in x]
         loads = [sum(counts[i] for i in members) for members, _ in self.constraints]
@@ -482,7 +600,8 @@ def round_allocation(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Rou
 
 def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
              params: PerSlotObjectiveParams,
-             floor: float = -math.inf) -> tuple[Allocation, float]:
+             floor: float = -math.inf,
+             pool: VariablePool | None = None) -> tuple[Allocation, float]:
     """Relaxed solve plus rounding; returns the allocation and its objective.
 
     Raises InfeasibleSelectionError when the routes cannot even hold one
@@ -494,8 +613,12 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     The first bound needs only the routes' variables and the budget, so
     with a floor a selection whose bound is below it raises DominatedError
     even when its node or edge capacities would make it infeasible.
+
+    ``pool``, built for the same graph, capacities and objective, lets
+    the calls of one route search share the routes' variable blocks; a
+    call returns or raises the same with or without it.
     """
-    inst = _Instance(graph, caps, routes, params, floor)
+    inst = _Instance(graph, caps, routes, params, floor, pool)
     x, _ = inst.solve_relaxed()
     counts = inst.round_down_and_fill(x)
     alloc = Allocation(dict(zip(inst.keys, counts)))

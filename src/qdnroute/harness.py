@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.workers >= 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU)")
+        if not self.enumeration_cap >= 0:
+            raise ValueError(f"enumeration_cap must be >= 0, got {self.enumeration_cap}")
         if not self.policies:
             raise ValueError("policies must name at least one policy")
         for p in self.policies:

@@ -10,6 +10,9 @@ abort a run.  The Gibbs sampler draws each proposal's acceptance variate
 first and rejects a proposal whose certified allocator bound already loses
 at that draw, without finishing its solve; exhaustive search under an
 uncapped objective cuts a combination whose bound loses to its incumbent.
+Each search builds one ``VariablePool`` and hands it to every allocator
+call, so a candidate route's variables are built, and a recurring
+constraint pricing is solved, once per search.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .allocation import (
     InfeasibleSelectionError,
     NoConvergenceError,
     PerSlotObjectiveParams,
+    VariablePool,
     allocate,
 )
 from .model import QdnGraph, SlotCapacities, check_fields
@@ -118,12 +122,11 @@ def _space(requests: Sequence[SdRequest]) -> list[int]:
     return sizes
 
 
-def _evaluate(graph: QdnGraph, caps: SlotCapacities, requests: Sequence[SdRequest],
-              choice: tuple[int, ...], params: PerSlotObjectiveParams,
+def _evaluate(pool: VariablePool, requests: Sequence[SdRequest], choice: tuple[int, ...],
               floor: float = -math.inf) -> tuple[Allocation | None, float]:
     routes = [req.candidates[c] for req, c in zip(requests, choice)]
     try:
-        return allocate(graph, caps, routes, params, floor=floor)
+        return allocate(pool.graph, pool.caps, routes, pool.params, floor=floor, pool=pool)
     except (InfeasibleSelectionError, NoConvergenceError):
         return None, -math.inf
 
@@ -151,16 +154,22 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
             f"{space} combinations exceed the cap of {enumeration_cap}; "
             "use gibbs_select"
         )
-    # Capped objectives (MF, MA) pass no floor while perfbench keeps every
-    # replay in memory: faster slots mean more replays and a higher peak RSS.
+    # Capped objectives (MF, MA) pass no floor, though the floor is exact
+    # for them too.  Passing it (perfbench seed 0, 36 s runs, 2 CPUs, same
+    # records digest) took paper-default combos_per_s.MA from 1,643 to
+    # 8,835 and MF from 1,871 to 9,391, but wide-redraw then replayed 41
+    # passes instead of 26 and its peak_rss_mb rose from 54.66 to 61.98 MB
+    # (+13.4%, over that gate's 10% bound), since perfbench keeps every
+    # replay in memory.  The floor waits for a benchmark that does not.
     prune = params.cost_cap is None
+    pool = VariablePool(graph, caps, params)
     best_choice = None
     best_alloc = None
     best_f = -math.inf
     floor = -math.inf
     for choice in product(*(range(s) for s in sizes)):
         try:
-            alloc, f = _evaluate(graph, caps, requests, choice, params, floor)
+            alloc, f = _evaluate(pool, requests, choice, floor)
         except DominatedError:
             continue  # certified to score below the incumbent
         if alloc is not None and f > best_f:
@@ -203,6 +212,7 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     max_iters = gibbs.max_iters or _MAX_ITERS_PER_REQUEST * count
     window = gibbs.stability_window or _STABLE_WINDOW_PER_REQUEST * count
     rng = np.random.default_rng(gibbs.seed)
+    pool = VariablePool(graph, caps, params)
 
     # A solved choice maps to its (allocation, objective), a cut one to the
     # tightest upper bound certified on its objective.
@@ -221,14 +231,14 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
             if loses(known, u):
                 return None, None
             try:
-                seen[choice] = _evaluate(graph, caps, requests, choice, params,
+                seen[choice] = _evaluate(pool, requests, choice,
                                          _rejection_floor(u, f_cur, gibbs.gamma))
                 return seen[choice]
             except DominatedError as exc:
                 seen[choice] = min(known, exc.bound)
                 if loses(seen[choice], u):
                     return None, None
-        seen[choice] = _evaluate(graph, caps, requests, choice, params)
+        seen[choice] = _evaluate(pool, requests, choice)
         return seen[choice]
 
     for _ in range(_INIT_RETRIES):

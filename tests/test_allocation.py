@@ -22,6 +22,9 @@ Core claims:
       below the floor; on a selection that breaks a node or edge capacity
       it raises InfeasibleSelectionError, or DominatedError with a bound
       below the floor before the capacities are checked
+    - allocate(pool=...) with one VariablePool shared by every route
+      combination of a slot returns or raises exactly what allocate()
+      without a pool does, floor or no floor, bound for bound
 """
 
 import hashlib
@@ -51,6 +54,7 @@ from qdnroute.allocation import (
     NoConvergenceError,
     PerSlotObjectiveParams,
     RelaxedSolution,
+    VariablePool,
     _Instance,
     allocate,
     delta_gap,
@@ -67,7 +71,7 @@ from qdnroute.model import (
     SlotCapacities,
     verify_feasible,
 )
-from qdnroute.routes import CandidateCache, build_requests
+from qdnroute.routes import CandidateCache, RouteConfig, build_requests
 from qdnroute.topology import generate_waxman, sample_requests, sample_slot_capacities
 
 
@@ -531,3 +535,72 @@ class TestFloor:
         inst = _Instance(g, caps, [route], params, unbudgeted - 1.0)
         with pytest.raises(NoConvergenceError):
             inst.solve_relaxed(max_updates=0)
+
+
+def _outcome(call):
+    """What an allocate() call gives, as bits: the allocation and the
+    objective, or the error's name and a cut's certified bound."""
+    try:
+        alloc, f = call()
+    except DominatedError as exc:
+        return "DominatedError", exc.bound.hex()
+    except (InfeasibleSelectionError, NoConvergenceError) as exc:
+        return type(exc).__name__
+    return sorted(alloc.items()), f.hex()
+
+
+def slot_instance(rng, capped, free):
+    """A random graph and 1-5 servable requests with 1-3 candidates each;
+    some route combinations may break a capacity or the budget."""
+    while True:
+        g = random_graph(rng, int(rng.integers(4, 9)))
+        pairs = [tuple(int(x) for x in rng.choice(g.node_count, size=2, replace=False))
+                 for _ in range(int(rng.integers(1, 6)))]
+        reqs = [r for r in build_requests(g, pairs, RouteConfig(max_candidates=3, max_hops=4))
+                if r.servable]
+        if reqs:
+            break
+    params = PerSlotObjectiveParams(
+        V=float(rng.uniform(1.0, 50.0)),
+        q=0.0 if free else float(rng.uniform(0.0, 3.0)),
+        cost_cap=int(rng.integers(len(reqs), 12 * len(reqs) + 1)) if capped else None,
+    )
+    return g, SlotCapacities.from_graph(g), reqs, params
+
+
+class TestVariablePool:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans())
+    def test_same_outcome_as_without_pool(self, seed, capped, free):
+        g, caps, reqs, params = slot_instance(np.random.default_rng(seed), capped, free)
+        combos = [[r.candidates[c] for r, c in zip(reqs, choice)]
+                  for choice in product(*(range(len(r.candidates)) for r in reqs))]
+        plain = [_outcome(lambda: allocate(g, caps, routes, params)) for routes in combos]
+        fs = sorted(float.fromhex(out[1]) for out in plain
+                    if isinstance(out, tuple) and out[0] != "DominatedError")
+        mid = fs[len(fs) // 2] if fs else 0.0
+        high = fs[-1] + 1.0 + abs(fs[-1]) if fs else 1e6
+        # One pool for the whole slot, shared by every call as in a route
+        # search; the routes' order does not matter.
+        pool = VariablePool(g, caps, params)
+        for floor in (-math.inf, mid, high):
+            for routes, want in zip(combos, plain):
+                if floor > -math.inf:
+                    want = _outcome(lambda: allocate(g, caps, routes, params, floor=floor))
+                got = _outcome(lambda: allocate(g, caps, routes[::-1], params, floor=floor,
+                                                pool=pool))
+                assert got == want
+
+    def test_mismatched_pool_and_shared_request_rejected(self):
+        g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))
+        caps = SlotCapacities.from_graph(g)
+        params = PerSlotObjectiveParams(V=1.0)
+        pool = VariablePool(g, caps, params)
+        first = Route.from_nodes(g, [0, 1], request_id=0)
+        with pytest.raises(ValueError, match="pool was built for another"):
+            allocate(g, caps, [first], PerSlotObjectiveParams(V=2.0), pool=pool)
+        # Two routes of one request, even over different edges.
+        second = Route.from_nodes(g, [1, 2], request_id=0)
+        for kwargs in ({}, {"pool": pool}):
+            with pytest.raises(ValueError, match="one route per request"):
+                allocate(g, caps, [first, second], params, **kwargs)

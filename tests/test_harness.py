@@ -260,6 +260,7 @@ class TestConfig:
         ({"policies": []}, "at least one policy"),
         ({"policies": ["OSCAR", "MA", "OSCAR"]}, "must not repeat"),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"enumeration_cap": -5}, "enumeration_cap must be >= 0, got -5"),
     ])
     def test_invalid_values_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
@@ -536,9 +537,12 @@ class TestCli:
         (["run", "--config", "{bad_type}", "--out", "{out}"],
          "trials must be of type int, got 1.5"),
         (["bounds", "--config", "{bad_yaml}"], "bad_yaml.yaml is not valid YAML"),
+        (["run", "--config", "{bad_cap}", "--out", "{out}"],
+         "enumeration_cap must be >= 0, got -5"),
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, argv, why):
-        files = {"bad_key": "nope: 1\n", "bad_type": "trials: 1.5\n", "bad_yaml": "seed: [\n"}
+        files = {"bad_key": "nope: 1\n", "bad_type": "trials: 1.5\n", "bad_yaml": "seed: [\n",
+                 "bad_cap": "enumeration_cap: -5\n"}
         for key, text in files.items():
             (tmp_path / f"{key}.yaml").write_text(text)
         argv = [a.format(missing=tmp_path / "missing.yaml", out=tmp_path / "out",

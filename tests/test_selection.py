@@ -262,8 +262,9 @@ def fail_on(monkeypatch, bad_routes):
     monkeypatch.setattr(selection, "allocate", flaky)
 
 
-def unfloored(graph, caps, routes, params, floor=-math.inf):
-    """The allocator as a selector sees it, ignoring any floor."""
+def unfloored(graph, caps, routes, params, floor=-math.inf, pool=None):
+    """The allocator as a selector sees it, ignoring any floor and the
+    selector's variable pool."""
     return allocate(graph, caps, routes, params)
 
 
@@ -434,10 +435,10 @@ class TestIncumbentFloor:
         floors = {False: [], True: []}
         cut = []
 
-        def recording(graph, caps, routes, params, floor=-math.inf):
+        def recording(graph, caps, routes, params, floor=-math.inf, pool=None):
             floors[params.cost_cap is not None].append(floor)
             try:
-                return allocate(graph, caps, routes, params, floor=floor)
+                return allocate(graph, caps, routes, params, floor=floor, pool=pool)
             except DominatedError:
                 cut.append(1)
                 raise
@@ -496,10 +497,10 @@ def test_gibbs_calls_pinned(monkeypatch):
     # floor, and the objective, the certified bound of a cut, or the error.
     h = hashlib.sha256()
 
-    def recording(graph, caps, routes, params, floor=-math.inf):
+    def recording(graph, caps, routes, params, floor=-math.inf, pool=None):
         call = f"{[r.edges for r in routes]}:{floor.hex()}"
         try:
-            alloc, f = allocate(graph, caps, routes, params, floor=floor)
+            alloc, f = allocate(graph, caps, routes, params, floor=floor, pool=pool)
         except DominatedError as exc:
             h.update(f"{call}:cut:{exc.bound.hex()}\n".encode())
             raise
