@@ -441,8 +441,7 @@ class _Instance(_Variables):
                 bound = min(bound, lagrangian)
         return bound
 
-    def solve_relaxed(self, max_updates: int = _MAX_MULTIPLIER_UPDATES,
-                      ) -> tuple[list[float], float]:
+    def solve_relaxed(self) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
 
         One nonnegative multiplier per coupling constraint; the Lagrangian
@@ -451,7 +450,10 @@ class _Instance(_Variables):
         multiplier moves to where its constraint's load meets its cap (or
         to zero when slack), via safeguarded Newton steps on the monotone
         load curve.  Terminates when the relative duality gap of the
-        feasibility-projected primal drops below ``_GAP_TOL``.
+        feasibility-projected primal drops below ``_GAP_TOL``.  A sweep
+        that moves no multiplier, or ``_MAX_MULTIPLIER_UPDATES`` updates,
+        end the solve with the best projected point seen, or with
+        NoConvergenceError when the last gap exceeds a relative 1e-3.
 
         The maximizer ``x`` of every variable at its current price
         ``theta`` and its slope are kept as state, refreshed only for the
@@ -464,6 +466,7 @@ class _Instance(_Variables):
         at build time).  The bounds are computed beside the solve and leave
         its path unchanged.
         """
+        update_cap = _MAX_MULTIPLIER_UPDATES
         n = len(self.keys)
         theta = [self.q] * n
         x, slope = self.x0[:], self.slope0[:]
@@ -475,7 +478,7 @@ class _Instance(_Variables):
         best_x: list[float] | None = None
         best_f = -math.inf
         gap = math.inf
-        while updates < max_updates:
+        while updates < update_cap:
             moved = False
             for ci, (members, cap) in enumerate(self.constraints):
                 old = nu[ci]
@@ -499,7 +502,7 @@ class _Instance(_Variables):
                         slope[i] = trial_slope[i]
                     if abs(delta) > 1e-12 * (1.0 + abs(old)):
                         moved = True
-                if updates >= max_updates:
+                if updates >= update_cap:
                     break
             f_feas, dual = self._value(x, theta)
             for nu_c, (_, cap) in zip(nu, self.constraints):

@@ -37,7 +37,7 @@ def _load(args) -> "ExperimentConfig":
             cfg = replace(cfg, seed=args.seed)
         if getattr(args, "trials", None) is not None:
             cfg = replace(cfg, trials=args.trials)
-        if getattr(args, "policy", None):
+        if getattr(args, "policy", None) is not None:
             cfg = replace(cfg, policies=tuple(args.policy.split(",")))
         if getattr(args, "workers", None) is not None:
             cfg = replace(cfg, workers=args.workers)

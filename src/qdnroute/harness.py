@@ -46,6 +46,12 @@ SWEEP_COLUMNS = ["param", "value", "policy", "final_utility", "final_success",
                  "final_cost", "violation_bound"]
 SWEEPABLE = ("C", "node_count", "V", "q0")
 
+_HISTOGRAM_BINS = 50  # 0.02 wide
+# Waxman beta calibration for node-count sweeps.
+_TARGET_DEGREE = 4.0
+_CALIBRATION_SAMPLES = 200
+_CALIBRATION_SEED = 1234
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -210,13 +216,13 @@ class RunMetrics:
         )
 
 
-def histogram_success_rates(probs, bin_width: float = 0.02):
-    """Fixed-width histogram of per-request success probabilities on [0, 1]."""
+def histogram_success_rates(probs):
+    """Histogram of per-request success probabilities in ``_HISTOGRAM_BINS``
+    equal bins on [0, 1]."""
     probs = np.asarray(list(probs), dtype=float)
     if probs.size == 0:
         raise ValueError("no success probabilities to bin")
-    nbins = int(round(1.0 / bin_width))
-    edges = np.linspace(0.0, 1.0, nbins + 1)
+    edges = np.linspace(0.0, 1.0, _HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(probs, bins=edges)
     return edges, counts
 
@@ -359,18 +365,18 @@ def _write_outputs(result: ExperimentResult, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 # Parameter sweeps.
 
-def calibrate_beta(node_count: int, alpha: float, side: float,
-                   target_degree: float = 4.0, samples: int = 200,
-                   seed: int = 1234) -> float:
-    """Waxman beta that hits a target mean degree at the given size.
+def calibrate_beta(node_count: int, alpha: float, side: float) -> float:
+    """Waxman beta that gives mean degree ``_TARGET_DEGREE`` (4) at the given size.
 
     Estimates the mean pair connection factor ``exp(-d / (alpha * d_max))``
-    over sampled placements and inverts the expected-degree relation.
+    over ``_CALIBRATION_SAMPLES`` (200) placements drawn from the stream
+    ``[_CALIBRATION_SEED, node_count]`` and inverts the expected-degree
+    relation.
     """
-    rng = np.random.default_rng([seed, node_count])
+    rng = np.random.default_rng([_CALIBRATION_SEED, node_count])
     factors = [pair_factors(rng.uniform(0.0, side, size=(node_count, 2)), alpha)[2].mean()
-               for _ in range(samples)]
-    beta = target_degree / ((node_count - 1) * float(np.mean(factors)))
+               for _ in range(_CALIBRATION_SAMPLES)]
+    beta = _TARGET_DEGREE / ((node_count - 1) * float(np.mean(factors)))
     return min(max(beta, 1e-6), 1.0)
 
 

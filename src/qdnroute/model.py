@@ -26,29 +26,32 @@ class MissingAllocationError(KeyError):
 
 
 @functools.cache
-def _annotation_type(annotation: str) -> tuple[type | tuple | None, bool, bool]:
-    # (accepted type, tuple?, None allowed?) of an int, float or str annotation,
-    # bare or in a tuple, maybe optional; no type for any other annotation.
+def _annotation_type(annotation: str) -> tuple[type | tuple | None, bool, int | None, bool]:
+    # (accepted type, tuple?, tuple length or None for any, None allowed?) of
+    # an int, float or str annotation, bare or in a tuple, maybe optional; no
+    # type for any other annotation.
     m = re.fullmatch(r"(?P<tuple>tuple\[)?(?P<name>int|float|str)"
                      r"(?:, (?:(?P=name)|\.\.\.))*\]?(?P<none> \| None)?", annotation)
     if m is None:
-        return None, False, False
+        return None, False, None, False
     # The builtin types come first: they match at a tenth of an ABC check's cost.
     kinds = {"int": (int, numbers.Integral), "float": (float, int, numbers.Real), "str": str}
-    return kinds[m["name"]], bool(m["tuple"]), bool(m["none"])
+    length = annotation.count(",") + 1 if m["tuple"] and "..." not in annotation else None
+    return kinds[m["name"]], bool(m["tuple"]), length, bool(m["none"])
 
 
 def check_fields(params) -> None:
     """Raise ValueError naming the first field of a parameter dataclass whose
     value does not fit its ``int``, ``float`` or ``str`` annotation (bare, in
-    a tuple, or ``| None``; a bool is no number), or is a NaN or an infinity,
-    itself or in a tuple."""
+    a tuple of the annotated length, or ``| None``; a bool is no number), or
+    is a NaN or an infinity, itself or in a tuple."""
     for f in fields(params):
         value = getattr(params, f.name)
-        kind, is_tuple, optional = _annotation_type(f.type)
+        kind, is_tuple, length, optional = _annotation_type(f.type)
         if value is None and optional:
             continue
-        if kind and isinstance(value, tuple) != is_tuple:
+        if kind and (isinstance(value, tuple) != is_tuple
+                     or length is not None and len(value) != length):
             raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         for v in value if isinstance(value, tuple) else (value,):
             if kind and (not isinstance(v, kind) or isinstance(v, bool)):
@@ -233,7 +236,10 @@ class Allocation:
     def __init__(self, entries: Mapping[tuple[int, int], int]):
         checked = {}
         for key, n in entries.items():
-            if n < 1 or n != int(n):
+            # A builtin int skips the checks that turn away a bool, a NaN and
+            # an infinity: allocate builds one Allocation per solved selection.
+            if ((type(n) is not int and (isinstance(n, bool) or not math.isfinite(n)))
+                    or n < 1 or n != int(n)):
                 raise ValueError(f"allocation for {key} must be a positive integer, got {n}")
             checked[key] = int(n)
         self._entries = MappingProxyType(checked)

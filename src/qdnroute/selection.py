@@ -57,25 +57,20 @@ class AllInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class GibbsParams:
-    """Sampler controls: temperature, budgets, and the RNG seed.
+    """Sampler controls: the temperature and the RNG seed.
 
-    ``max_iters`` and ``stability_window`` default to 200 and 5 proposals
-    per request when left unset.
+    The chain stops after ``_STABLE_WINDOW_PER_REQUEST`` (5) proposals per
+    request without an accepted change, or after ``_MAX_ITERS_PER_REQUEST``
+    (200) proposals per request.
     """
 
     gamma: float = 500.0
-    max_iters: int | None = None
-    stability_window: int | None = None
     seed: int | Sequence[int] = 0
 
     def __post_init__(self) -> None:
         check_fields(self)
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.max_iters is not None and not self.max_iters >= 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.stability_window is not None and not self.stability_window >= 1:
-            raise ValueError("stability_window must be >= 1")
 
 
 def gibbs_accept_prob(f_new: float, f_old: float, gamma: float) -> float:
@@ -192,9 +187,9 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
 
     Starts from a uniformly random feasible selection, then repeatedly
     proposes an alternative candidate for one uniformly random request and
-    accepts with ``gibbs_accept_prob``.  Stops after ``stability_window``
-    consecutive proposals without an accepted change, or at ``max_iters``.
-    Deterministic given the seed.
+    accepts with ``gibbs_accept_prob``.  Stops after 5 consecutive proposals
+    per request without an accepted change, or after 200 proposals per
+    request.  Deterministic given the seed.
 
     The acceptance variate ``u`` is drawn before the proposal is evaluated.
     A proposal not solved yet is handed to ``allocate`` with the objective
@@ -209,8 +204,7 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     """
     sizes = _space(requests)
     count = len(sizes)
-    max_iters = gibbs.max_iters or _MAX_ITERS_PER_REQUEST * count
-    window = gibbs.stability_window or _STABLE_WINDOW_PER_REQUEST * count
+    window = _STABLE_WINDOW_PER_REQUEST * count
     rng = np.random.default_rng(gibbs.seed)
     pool = VariablePool(graph, caps, params)
 
@@ -251,7 +245,7 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
 
     best_choice, best_f = current, f_cur
     stable = 0
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS_PER_REQUEST * count):
         if stable >= window:
             break
         idx = int(rng.integers(count))

@@ -1,10 +1,12 @@
-"""Random QDN generation, per-slot capacity fluctuation, and request arrivals.
+"""Random QDN generation, per-slot capacity fluctuation, request arrivals,
+and graph documents.
 
 Topologies follow the Waxman model: nodes placed uniformly in a square,
 each pair connected with probability ``beta * exp(-d / (alpha * d_max))``.
 All sampling is keyed by ``(seed, stream, t)`` through numpy's seed
 sequences, so a run is fully reproducible and the workload stream does not
-shift when unrelated parameters change.
+shift when unrelated parameters change.  A graph saves to and loads from a
+JSON document.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class WaxmanParams:
         if not self.side > 0:
             raise ValueError("side must be positive")
         band = self.degree_band
-        if band is not None and (len(band) != 2 or not band[0] <= band[1]):
+        if band is not None and not band[0] <= band[1]:
             raise ValueError(f"degree_band must be null or (lo, hi) with lo <= hi, got {band}")
 
 
@@ -210,7 +212,7 @@ def sample_requests(graph: QdnGraph, workload: WorkloadParams,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: graph documents and workload replay files.
+# Serialization: graph documents.
 
 def graph_to_dict(graph: QdnGraph) -> dict:
     attempts = {e.attempts for e in graph.edges}
@@ -251,17 +253,3 @@ def save_graph(graph: QdnGraph, path: str | Path) -> None:
 def load_graph(path: str | Path) -> QdnGraph:
     return graph_from_dict(json.loads(Path(path).read_text()))
 
-
-def dump_workload(stream: list[list[tuple[int, int]]], path: str | Path) -> None:
-    """Write a replay file: one line per slot, ``t: s-d s-d ...``."""
-    lines = [f"{t}: " + " ".join(f"{s}-{d}" for s, d in pairs) for t, pairs in enumerate(stream)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_workload(path: str | Path) -> list[list[tuple[int, int]]]:
-    stream = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            tokens = (token.partition("-") for token in line.partition(":")[2].split())
-            stream.append([(int(s), int(d)) for s, _, d in tokens])
-    return stream

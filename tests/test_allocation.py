@@ -22,6 +22,10 @@ Core claims:
       below the floor; on a selection that breaks a node or edge capacity
       it raises InfeasibleSelectionError, or DominatedError with a bound
       below the floor before the capacities are checked
+    - when the safeguarded Newton search runs out of steps, the trial
+      values it leaves are those at the multiplier it returns; a solve
+      that ends on a sweep moving no multiplier returns the best projected
+      point of its sweeps, feasible and near the converged objective
     - allocate(pool=...) with one VariablePool shared by every route
       combination of a slot returns or raises exactly what allocate()
       without a pool does, floor or no floor, bound for bound
@@ -48,6 +52,7 @@ from instances import (
     random_infeasible_instance,
     stationarity_root,
 )
+from qdnroute import allocation
 from qdnroute.allocation import (
     DominatedError,
     InfeasibleSelectionError,
@@ -330,6 +335,66 @@ class TestProjection:
             assert sum(got[i] for i in members) <= cap + 1e-12
 
 
+def _overloaded_instances(seed, count):
+    """Random instances (with and without a budget) whose start, every
+    variable at its box maximizer, overloads some coupling constraint."""
+    rng = np.random.default_rng(seed)
+    found = 0
+    while found < count:
+        args = random_allocation_instance(rng, with_cost_cap=bool(found % 2))
+        inst = _Instance(*args)
+        if any(sum(inst.x0[i] for i in m) > cap for m, cap in inst.constraints):
+            found += 1
+            yield args
+
+
+class TestFallbackExits:
+    def test_newton_step_cap_leaves_trial_values_at_returned_price(self, monkeypatch):
+        # With one step the search ends on a guess it has not evaluated; it
+        # must evaluate it before returning, so the caller's trial values
+        # are those of the multiplier it adopts.
+        monkeypatch.setattr(allocation, "_NEWTON_STEPS", 1)
+        for args in _overloaded_instances(83, 40):
+            inst = _Instance(*args)
+            n = len(inst.keys)
+            theta = [inst.q] * n
+            for members, cap in inst.constraints:
+                trial_x, trial_slope = [0.0] * n, [0.0] * n
+                nu = inst._newton(members, cap, theta, 0.0, inst.x0, inst.slope0,
+                                  trial_x, trial_slope)
+                want_x, want_slope = [0.0] * n, [0.0] * n
+                inst._load(members, theta, nu, want_x, want_slope)
+                assert trial_x == want_x and trial_slope == want_slope
+
+    def test_stalled_sweep_returns_best_projected_point(self, monkeypatch):
+        # A gap tolerance of 0 still lets a solve stop on the gap test when
+        # the gap rounds to 0 or below; -inf leaves a sweep that moves no
+        # multiplier as the only way out.
+        expected = {}
+        for k, args in enumerate(_overloaded_instances(89, 40)):
+            expected[k] = _Instance(*args).solve_relaxed()[1]
+        monkeypatch.setattr(allocation, "_GAP_TOL", -math.inf)
+        project = _Instance._project
+        points = []
+
+        def recording_project(self, x):
+            feas, changed = project(self, x)
+            points.append(feas)
+            return feas, changed
+
+        monkeypatch.setattr(_Instance, "_project", recording_project)
+        for k, args in enumerate(_overloaded_instances(89, 40)):
+            inst = _Instance(*args)
+            points.clear()
+            x, f = inst.solve_relaxed()
+            values = [inst._value(p, p)[0] for p in points]
+            assert x is points[values.index(max(values))] and f == max(values)
+            assert abs(f - expected[k]) <= 1e-3 * max(1.0, abs(expected[k]))
+            assert all(1.0 <= xi <= hi for xi, hi in zip(x, inst.hi))
+            for members, cap in inst.constraints:
+                assert sum(x[i] for i in members) <= cap + 1e-9
+
+
 class TestAllocate:
     def test_unique_feasible_point(self):
         g = QdnGraph((1, 1), (EdgeSpec(0, 1, 1, 0.5, 1),))
@@ -520,7 +585,7 @@ class TestFloor:
                     allocate(g, caps, routes, params, floor=floor)
                 assert relaxed - _margin(relaxed) <= info.value.bound < floor
 
-    def test_budget_lagrangian_tightens_initial_bound(self):
+    def test_budget_lagrangian_tightens_initial_bound(self, monkeypatch):
         # At zero price the box maximizer sits at its cap of 10 channels,
         # far above the budget of 1; no multiplier update is allowed, so
         # only the pre-loop bound can cut.
@@ -533,8 +598,9 @@ class TestFloor:
             _Instance(g, caps, [route], params, floor)
         assert f - _margin(f) <= info.value.bound < floor
         inst = _Instance(g, caps, [route], params, unbudgeted - 1.0)
+        monkeypatch.setattr(allocation, "_MAX_MULTIPLIER_UPDATES", 0)
         with pytest.raises(NoConvergenceError):
-            inst.solve_relaxed(max_updates=0)
+            inst.solve_relaxed()
 
 
 def _outcome(call):

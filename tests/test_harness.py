@@ -3,11 +3,13 @@
 Core claims:
     - configs round-trip through YAML and the 'default' name resolves;
       unknown keys raise ValueError naming the key and its section; the
-      written YAML is pinned byte for byte
+      written YAML is pinned byte for byte; README's yaml block is the
+      default config
     - malformed configs (not a mapping, bad degree band, negative worker
       count, empty or repeated policy list, negative seed) raise ValueError;
-      so do a value that does not fit its field's type, named by the field,
-      and a file that is not valid YAML, named by the file
+      so do a value that does not fit its field's type or a pair field's
+      length, named by the field, and a file that is not valid YAML, named
+      by the file
     - every parameter dataclass rejects a NaN or an infinity with a
       ValueError naming the field, from code, from a config mapping and
       from a sweep value
@@ -22,8 +24,9 @@ Core claims:
       rejected before any run, and
       the CLI reports a bad --values entry as a usage error
     - the CLI subcommands run end to end; a bad config file or override
-      (seed, trials, policy, workers) and a validate --samples or
-      --instances below 1 are usage errors (exit 2), not tracebacks
+      (seed, trials, policy, an empty policy list, workers) and a validate
+      --samples or --instances below 1 are usage errors (exit 2), not
+      tracebacks
 """
 
 import csv
@@ -36,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,7 +92,6 @@ DEFAULT_YAML = (
     "workload:\n  sd_range:\n  - 1\n  - 5\n  f_max: 5\nroute:\n"
     "  max_candidates: 3\n  max_hops: 6\nbudget:\n  total_budget: 5000\n"
     "  horizon: 200\n  V: 2500.0\n  q0: 10.0\ngibbs:\n  gamma: 500.0\n"
-    "  max_iters: null\n  stability_window: null\n"
 )
 OTHER_CONFIG = ExperimentConfig(
     topology=WaxmanParams(node_count=12, alpha=0.25, beta=0.75, side=50.0, seed=9,
@@ -98,7 +101,7 @@ OTHER_CONFIG = ExperimentConfig(
     workload=WorkloadParams(sd_range=(0, 2), f_max=3),
     route=RouteConfig(max_candidates=4, max_hops=5),
     budget=BudgetParams(total_budget=900, horizon=30, V=12.5, q0=0.0),
-    gibbs=GibbsParams(gamma=0.5, max_iters=40, stability_window=3, seed=[7, 3]),
+    gibbs=GibbsParams(gamma=0.5, seed=[7, 3]),
     policies=("MA", "OSCAR"), trials=3, seed=41, enumeration_cap=64, workers=2,
 )
 OTHER_YAML = (
@@ -110,7 +113,6 @@ OTHER_YAML = (
     "workload:\n  sd_range:\n  - 0\n  - 2\n  f_max: 3\nroute:\n"
     "  max_candidates: 4\n  max_hops: 5\nbudget:\n  total_budget: 900\n"
     "  horizon: 30\n  V: 12.5\n  q0: 0.0\ngibbs:\n  gamma: 0.5\n"
-    "  max_iters: 40\n  stability_window: 3\n"
 )
 
 
@@ -124,7 +126,6 @@ def configs(draw):
     """Valid configs over every field, nested seeds included."""
     unit = st.floats(0.0, 1.0, exclude_min=True)
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    maybe_count = st.none() | st.integers(1, 10**6)
     band = st.none() | st.tuples(positive, positive).map(lambda p: tuple(sorted(p)))
     f_max = draw(st.integers(0, 50))
     policies = draw(st.permutations(POLICIES).flatmap(
@@ -149,9 +150,7 @@ def configs(draw):
         budget=BudgetParams(
             total_budget=draw(st.integers(1, 10**12)), horizon=draw(st.integers(1, 10**6)),
             V=draw(positive), q0=draw(st.floats(min_value=0.0, allow_infinity=False))),
-        gibbs=GibbsParams(
-            gamma=draw(positive), max_iters=draw(maybe_count),
-            stability_window=draw(maybe_count), seed=draw(st.integers(0, 2**32))),
+        gibbs=GibbsParams(gamma=draw(positive), seed=draw(st.integers(0, 2**32))),
     )
 
 
@@ -188,6 +187,13 @@ class TestConfig:
     def test_default_dict_roundtrips(self):
         assert config_from_dict(config_to_dict(default_config())) == default_config()
 
+    def test_readme_schema_matches_default(self):
+        # README's one yaml block documents the default config key for key
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.M | re.S)
+        assert len(blocks) == 1
+        assert yaml.safe_load(blocks[0]) == config_to_dict(default_config())
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="'seeds' at the top level"):
             config_from_dict({"seeds": 3})
@@ -198,9 +204,11 @@ class TestConfig:
         # a misspelled key must not silently fall back to its default
         with pytest.raises(ValueError, match="'Q0' in section 'budget'"):
             config_from_dict({"budget": {"Q0": 5}})
-        # a key removed from the sampler must not be silently ignored
+        # keys removed from the sampler must not be silently ignored
         with pytest.raises(ValueError, match="'batch_disjoint' in section 'gibbs'"):
             config_from_dict({"gibbs": {"batch_disjoint": False}})
+        with pytest.raises(ValueError, match="'max_iters' in section 'gibbs'"):
+            config_from_dict({"gibbs": {"max_iters": None}})
         sections = [k for k, v in config_to_dict(default_config()).items()
                     if isinstance(v, dict)]
         assert len(sections) == 6
@@ -231,16 +239,27 @@ class TestConfig:
         ({"budget": {"V": "2500"}}, "V must be of type float, got '2500'"),
         ({"budget": {"q0": False}}, "q0 must be of type float, got False"),
         ({"capacities": {"fluctuation": 1}}, "fluctuation must be of type str, got 1"),
-        ({"gibbs": {"max_iters": 2.5}}, "max_iters must be of type int | None, got 2.5"),
+        ({"capacities": {"qubit_range": [10, 12, 14]}},
+         "qubit_range must be of type tuple[int, int], got (10, 12, 14)"),
         ({"workload": {"sd_range": [1, 2.5]}},
          "sd_range must be of type tuple[int, int], got (1, 2.5)"),
         ({"topology": {"degree_band": ["3", 4]}},
          "degree_band must be of type tuple[float, float] | None, got ('3', 4)"),
+        ({"workload": {"sd_range": [1]}}, "sd_range must be of type tuple[int, int], got (1,)"),
+        ({"topology": {"degree_band": [3.5, 4.0, 4.5]}},
+         "degree_band must be of type tuple[float, float] | None, got (3.5, 4.0, 4.5)"),
     ])
     def test_wrong_types_rejected(self, doc, why):
         # each used to pass, or to fail with a TypeError or a misleading message
         with pytest.raises(ValueError, match=re.escape(why)):
             config_from_dict(doc)
+
+    def test_optional_int_wrong_type_rejected(self):
+        # cost_cap is the one `int | None` field; no config key sets it
+        with pytest.raises(ValueError,
+                           match=re.escape("cost_cap must be of type int | None, got 2.5")):
+            PerSlotObjectiveParams(V=1.0, cost_cap=2.5)
+        assert PerSlotObjectiveParams(V=1.0, cost_cap=None).cost_cap is None
 
     def test_numpy_scalars_accepted(self):
         budget = BudgetParams(np.int64(5000), 200, np.float64(2.5), q0=np.int32(1))
@@ -276,7 +295,6 @@ class TestConfig:
         (lambda x: PerSlotObjectiveParams(V=1.0, cost_cap=x), "cost_cap"),
         (lambda x: ControllerState(q=x), "q must be finite"),
         (lambda x: GibbsParams(gamma=x), "gamma"),
-        (lambda x: GibbsParams(max_iters=x), "max_iters"),
         (lambda x: WaxmanParams(side=x), "side"),
         (lambda x: WaxmanParams(alpha=x), "alpha"),
         (lambda x: WaxmanParams(degree_band=(3.5, x)), "degree_band"),
@@ -481,7 +499,7 @@ class TestSweep:
 
 
 def test_calibrate_beta_hits_target_degree():
-    beta = calibrate_beta(40, alpha=0.5, side=100.0, target_degree=4.0)
+    beta = calibrate_beta(40, alpha=0.5, side=100.0)
     caps = CapacityDistributions()
     degs = [
         2 * generate_waxman(WaxmanParams(node_count=40, beta=beta, seed=s), caps).edge_count / 40
@@ -539,6 +557,10 @@ class TestCli:
         (["bounds", "--config", "{bad_yaml}"], "bad_yaml.yaml is not valid YAML"),
         (["run", "--config", "{bad_cap}", "--out", "{out}"],
          "enumeration_cap must be >= 0, got -5"),
+        # an empty list used to run every policy
+        (["run", "--policy", "", "--out", "{out}"], "unknown policy ''"),
+        (["sweep", "--param", "q0", "--values", "1", "--policy", "", "--out", "{out}"],
+         "unknown policy ''"),
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, argv, why):
         files = {"bad_key": "nope: 1\n", "bad_type": "trials: 1.5\n", "bad_yaml": "seed: [\n",

@@ -12,9 +12,13 @@ Core claims:
     - Monte-Carlo estimates agree with the analytic probabilities within
       3-sigma binomial bounds
     - graph construction rejects malformed inputs and normalizes endpoints
+    - an allocation takes integral counts of at least 1, numpy integers
+      included, and rejects a bool, a fraction, a NaN or an infinity with
+      its own ValueError
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,9 +322,15 @@ class TestTypes:
             Route.from_nodes(g, [0, 1, 0])
 
     def test_allocation_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Allocation({(0, 0): 0})
+        # a bool used to count as 1, an infinity to escape as OverflowError
+        for count in (0, -1, 1.5, True, False, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"allocation for (0, 0) must be a positive integer, got {count}")):
+                Allocation({(0, 0): count})
 
     def test_allocation_cost(self):
         a = Allocation({(0, 0): 2, (1, 0): 3})
         assert a.cost == 5
+        # numpy integers and integral floats are counts too, stored as int
+        a = Allocation({(0, 0): np.int64(3), (0, 1): np.int32(1), (0, 2): 2.0})
+        assert [type(n) for _, n in a.items()] == [int] * 3 and a.cost == 6

@@ -12,7 +12,7 @@ Core claims:
       uniform redraws otherwise, deterministic in (seed, t)
     - request sampling gives distinct ordered pairs with the configured
       count distribution, deterministic in (seed, t)
-    - graph and workload files round-trip exactly
+    - graph files round-trip exactly
 """
 
 import hashlib
@@ -32,12 +32,10 @@ from qdnroute.topology import (
     WorkloadParams,
     _draw_edges,
     _place_nodes,
-    dump_workload,
     generate_waxman,
     graph_from_dict,
     graph_to_dict,
     load_graph,
-    load_workload,
     pair_factors,
     sample_requests,
     sample_slot_capacities,
@@ -266,9 +264,3 @@ class TestSerialization:
         del doc["attempts"]
         with pytest.raises(ValueError):
             graph_from_dict(doc)  # other edges now lack an attempts value
-
-    def test_workload_roundtrip(self, tmp_path):
-        stream = [[(0, 3), (2, 5)], [], [(4, 1)]]
-        path = tmp_path / "workload.txt"
-        dump_workload(stream, path)
-        assert load_workload(path) == stream
