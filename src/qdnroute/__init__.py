@@ -72,7 +72,6 @@ from .topology import (
     WaxmanParams,
     WorkloadParams,
     generate_waxman,
-    load_graph,
     sample_requests,
     sample_slot_capacities,
     save_graph,

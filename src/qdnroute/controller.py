@@ -104,7 +104,8 @@ def run_slot(policy: str, graph: QdnGraph, caps: SlotCapacities,
     OSCAR prices cost at the queue length q and then updates q; MF caps the
     slot's cost at ``floor(C/T)``; MA caps it at the leftover budget spread
     over the remaining slots.  Requests without candidates are unserved; if
-    the joint problem is infeasible the whole slot goes unserved at zero cost.
+    the joint problem is infeasible, or Gibbs finds no feasible initial
+    selection, the whole slot goes unserved at zero cost.
     A committed allocation that breaks a capacity or the cap is a program
     defect and raises RuntimeError.
     """

@@ -150,12 +150,14 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
             "use gibbs_select"
         )
     # Capped objectives (MF, MA) pass no floor, though the floor is exact
-    # for them too.  Passing it (perfbench seed 0, 36 s runs, 2 CPUs, same
-    # records digest) took paper-default combos_per_s.MA from 1,643 to
-    # 8,835 and MF from 1,871 to 9,391, but wide-redraw then replayed 41
-    # passes instead of 26 and its peak_rss_mb rose from 54.66 to 61.98 MB
-    # (+13.4%, over that gate's 10% bound), since perfbench keeps every
-    # replay in memory.  The floor waits for a benchmark that does not.
+    # for them too.  Passing it (perfbench wide-redraw, seed 0, 36 s runs,
+    # two alternating pairs, same records digest d0d74f1793d9...) took
+    # combos_per_s.MA from 3,343 to 6,286 and from 3,368 to 6,182, but
+    # peak_rss_mb rose from 53.66 to 64.93 MB and from 53.98 to 62.16 MB
+    # (x1.21 and x1.15, over that gate's 10% bound): perfbench keeps every
+    # replay pass in memory, and the faster code replayed 46 and 41 passes
+    # instead of 25, close to its MAX_PASSES of 50.  The floor waits for a
+    # benchmark that does not keep them.
     prune = params.cost_cap is None
     pool = VariablePool(graph, caps, params)
     best_choice = None

@@ -5,8 +5,7 @@ Topologies follow the Waxman model: nodes placed uniformly in a square,
 each pair connected with probability ``beta * exp(-d / (alpha * d_max))``.
 All sampling is keyed by ``(seed, stream, t)`` through numpy's seed
 sequences, so a run is fully reproducible and the workload stream does not
-shift when unrelated parameters change.  A graph saves to and loads from a
-JSON document.
+shift when unrelated parameters change.  A graph saves to a JSON document.
 """
 
 from __future__ import annotations
@@ -172,8 +171,10 @@ def generate_waxman(params: WaxmanParams, caps: CapacityDistributions) -> QdnGra
             for (u, v), w in zip(pairs, channel_caps)
         )
         return QdnGraph(qubit_caps, edges)
+    band = params.degree_band
+    within = "" if band is None else f" with mean degree in [{band[0]}, {band[1]}]"
     raise GenerationError(
-        f"no connected Waxman graph in {_MAX_GENERATION_RETRIES} draws "
+        f"no connected Waxman graph{within} in {_MAX_GENERATION_RETRIES} draws "
         f"(n={params.node_count}, alpha={params.alpha}, beta={params.beta})"
     )
 
@@ -212,7 +213,7 @@ def sample_requests(graph: QdnGraph, workload: WorkloadParams,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: graph documents.
+# Graph documents: the JSON that ``qdnroute topology --out`` writes.
 
 def graph_to_dict(graph: QdnGraph) -> dict:
     attempts = {e.attempts for e in graph.edges}
@@ -231,25 +232,8 @@ def graph_to_dict(graph: QdnGraph) -> dict:
     return doc
 
 
-def graph_from_dict(doc: dict) -> QdnGraph:
-    default_attempts = doc.get("attempts")
-    nodes = sorted(doc["nodes"], key=lambda n: n["id"])
-    if [n["id"] for n in nodes] != list(range(len(nodes))):
-        raise ValueError("node ids must be dense integers starting at 0")
-    edges = []
-    for entry in sorted(doc["edges"], key=lambda e: e["id"]):
-        attempts = entry.get("attempts", default_attempts)
-        if attempts is None:
-            raise ValueError(f"edge {entry['id']} has no attempts value")
-        edges.append(EdgeSpec(entry["u"], entry["v"], entry["channels"],
-                              entry["p_attempt"], attempts))
-    return QdnGraph(tuple(n["qubits"] for n in nodes), tuple(edges))
-
-
 def save_graph(graph: QdnGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(graph), indent=2) + "\n")
-
-
-def load_graph(path: str | Path) -> QdnGraph:
-    return graph_from_dict(json.loads(Path(path).read_text()))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(graph_to_dict(graph), indent=2) + "\n")
 

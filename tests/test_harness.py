@@ -14,7 +14,8 @@ Core claims:
       ValueError naming the field, from code, from a config mapping and
       from a sweep value
     - run_experiment writes the documented CSV schemas and byte-identical
-      outputs on repeated runs, independent of the worker count
+      outputs on repeated runs, independent of the worker count; pinned
+      digests guard the three CSVs of a short stock-config run
     - policies within a trial see identical request streams (paired design)
     - running averages in RunMetrics are recomputable from slot records
     - histograms conserve request counts and bin correctly
@@ -23,13 +24,15 @@ Core claims:
       value that is not a whole number, or a node_count below 2, is
       rejected before any run, and
       the CLI reports a bad --values entry as a usage error
-    - the CLI subcommands run end to end; a bad config file or override
+    - the CLI subcommands run end to end, and topology --out creates its
+      directory as run --out does; a bad config file or override
       (seed, trials, policy, an empty policy list, workers) and a validate
       --samples or --instances below 1 are usage errors (exit 2), not
       tracebacks
 """
 
 import csv
+import hashlib
 import math
 import re
 import tempfile
@@ -64,6 +67,12 @@ from qdnroute.controller import POLICIES, BudgetParams, ControllerState
 from qdnroute.routes import RouteConfig
 from qdnroute.selection import GibbsParams
 from qdnroute.topology import CapacityDistributions, WaxmanParams, WorkloadParams, generate_waxman
+
+PINNED_CSV_SHA256 = {
+    "slots.csv": "957e86e058090c4601057f05aff8d2d652544a26300df7bea1165c08d21649b3",
+    "summary.csv": "0a130895397e25ddd94d97b03b51f6c5a7cbbf983e387926477063feecb0788f",
+    "histogram.csv": "2e5c106679be44f07953dd057e95957dc0dde7a221baea5133eab1ff5d738f71",
+}
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -360,6 +369,16 @@ class TestRunExperiment:
         for name in ("slots.csv", "summary.csv", "histogram.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_csv_outputs_pinned(self, tmp_path):
+        # stock network at the stock per-slot budget of 25, two short trials
+        cfg = default_config()
+        cfg = replace(cfg, trials=2, workers=1,
+                      budget=replace(cfg.budget, horizon=10, total_budget=250))
+        run_experiment(cfg, tmp_path, quiet=True)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in PINNED_CSV_SHA256}
+        assert digests == PINNED_CSV_SHA256
+
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         run_experiment(tiny_config(workers=1), tmp_path / "serial", quiet=True)
         run_experiment(tiny_config(workers=2), tmp_path / "parallel", quiet=True)
@@ -514,6 +533,11 @@ class TestCli:
         assert cli_main(["topology", "--seed", "3", "--out", str(out)]) == 0
         assert out.exists()
         assert "nodes=20" in capsys.readouterr().out
+
+    def test_topology_command_creates_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "graph.json"
+        assert cli_main(["topology", "--seed", "3", "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_run_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

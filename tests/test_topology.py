@@ -12,11 +12,16 @@ Core claims:
       uniform redraws otherwise, deterministic in (seed, t)
     - request sampling gives distinct ordered pairs with the configured
       count distribution, deterministic in (seed, t)
-    - graph files round-trip exactly
+    - the generation error names the degree band when one is set
+    - a written graph document holds every node and edge field, with one
+      top-level attempts value when all edges share it and a per-edge one
+      otherwise
 """
 
 import hashlib
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,17 +30,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdnroute.harness import calibrate_beta
-from qdnroute.model import SlotCapacities
+from qdnroute.model import QdnGraph, SlotCapacities
 from qdnroute.topology import (
     CapacityDistributions,
+    GenerationError,
     WaxmanParams,
     WorkloadParams,
     _draw_edges,
     _place_nodes,
     generate_waxman,
-    graph_from_dict,
     graph_to_dict,
-    load_graph,
     pair_factors,
     sample_requests,
     sample_slot_capacities,
@@ -106,6 +110,19 @@ def test_degree_band_enforced():
     for seed in range(30):
         g = generate_waxman(WaxmanParams(seed=seed, degree_band=band), CAPS)
         assert band[0] <= 2 * g.edge_count / g.node_count <= band[1]
+
+
+@pytest.mark.parametrize("params, message", [
+    # band rejections come before the connectivity check, so the band is named
+    (WaxmanParams(degree_band=(9.0, 9.5)),
+     "no connected Waxman graph with mean degree in [9.0, 9.5] in 100 draws "
+     "(n=20, alpha=0.5, beta=0.5)"),
+    (WaxmanParams(beta=0.01),
+     "no connected Waxman graph in 100 draws (n=20, alpha=0.5, beta=0.01)"),
+])
+def test_generation_error_message(params, message):
+    with pytest.raises(GenerationError, match=re.escape(message)):
+        generate_waxman(params, CAPS)
 
 
 @pytest.mark.parametrize("band", [(), (4.0,), (3.0, 4.0, 5.0), (4.5, 3.5)])
@@ -252,15 +269,17 @@ class TestSerialization:
         g = generate_waxman(WaxmanParams(seed=8), CAPS)
         path = tmp_path / "graph.json"
         save_graph(g, path)
-        loaded = load_graph(path)
-        assert loaded.qubit_caps == g.qubit_caps
-        assert loaded.edges == g.edges
+        doc = json.loads(path.read_text())
+        assert doc["attempts"] == 4000
+        assert doc["nodes"] == [{"id": i, "qubits": q} for i, q in enumerate(g.qubit_caps)]
+        assert doc["edges"] == [
+            {"id": i, "u": e.u, "v": e.v, "channels": e.channels, "p_attempt": e.p_attempt}
+            for i, e in enumerate(g.edges)
+        ]
 
     def test_graph_dict_per_edge_attempts(self):
         g = generate_waxman(WaxmanParams(seed=8), CAPS)
-        doc = graph_to_dict(g)
-        assert doc["attempts"] == 4000
-        doc["edges"][0]["attempts"] = 7
-        del doc["attempts"]
-        with pytest.raises(ValueError):
-            graph_from_dict(doc)  # other edges now lack an attempts value
+        edges = tuple(replace(e, attempts=1000 + i) for i, e in enumerate(g.edges))
+        doc = graph_to_dict(QdnGraph(g.qubit_caps, edges))
+        assert "attempts" not in doc
+        assert [entry["attempts"] for entry in doc["edges"]] == [e.attempts for e in edges]
