@@ -119,8 +119,6 @@ def cmd_validate(args) -> int:
             if not nbrs or (len(nodes) >= 2 and rng.random() < 0.4):
                 break
             nodes.append(int(rng.choice(nbrs)))
-        if len(nodes) < 2:
-            continue
         route = Route.from_nodes(graph, nodes, request_id=0)
         alloc = Allocation({
             (0, eid): int(rng.integers(1, min(4, caps.w_caps[eid]) + 1))

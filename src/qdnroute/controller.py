@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
-from .allocation import Allocation, PerSlotObjectiveParams, delta_gap
+from .allocation import PerSlotObjectiveParams, delta_gap
 from .model import (
+    Allocation,
     QdnGraph,
     SlotCapacities,
     check_fields,

@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import (
-    Allocation,
     DominatedError,
     InfeasibleSelectionError,
     NoConvergenceError,
@@ -33,7 +32,7 @@ from .allocation import (
     VariablePool,
     allocate,
 )
-from .model import QdnGraph, SlotCapacities, check_fields
+from .model import Allocation, QdnGraph, SlotCapacities, check_fields
 from .routes import SdRequest
 
 DEFAULT_ENUMERATION_CAP = 10_000

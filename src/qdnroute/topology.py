@@ -38,7 +38,8 @@ class WaxmanParams:
 
     ``degree_band``, when set, rejects draws whose mean node degree falls
     outside the interval, the same way disconnected draws are rejected; the
-    benchmark setup pins its topologies near degree 4.
+    benchmark setup pins its topologies near degree 4.  A band that no
+    connected graph on ``node_count`` nodes can meet is a ``ValueError``.
     """
 
     node_count: int = 20
@@ -59,6 +60,12 @@ class WaxmanParams:
         band = self.degree_band
         if band is not None and not band[0] <= band[1]:
             raise ValueError(f"degree_band must be null or (lo, hi) with lo <= hi, got {band}")
+        # A connected simple graph has between n-1 and n(n-1)/2 edges.
+        n = self.node_count
+        least, most = 2 * (n - 1) / n, n - 1
+        if band is not None and (band[0] > most or band[1] < least):
+            raise ValueError(f"degree_band {band} misses [{least:g}, {most}], the mean "
+                             f"degrees a connected graph on {n} nodes can have")
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,15 @@ class TestFallbackExits:
             for members, cap in inst.constraints:
                 assert sum(x[i] for i in members) <= cap + 1e-9
 
+    def test_update_cap_ends_a_sweep_midway(self, monkeypatch):
+        # All three constraints of this instance start over their caps, so
+        # without the mid-sweep exit the first sweep would price all three.
+        inst = _Instance(*random_allocation_instance(np.random.default_rng(2)))
+        assert [sum(inst.x0[i] for i in m) > cap for m, cap in inst.constraints] == [True] * 3
+        monkeypatch.setattr(allocation, "_MAX_MULTIPLIER_UPDATES", 1)
+        with pytest.raises(NoConvergenceError, match="after 1 multiplier updates"):
+            inst.solve_relaxed()
+
 
 class TestAllocate:
     def test_unique_feasible_point(self):

@@ -135,7 +135,10 @@ def configs(draw):
     """Valid configs over every field, nested seeds included."""
     unit = st.floats(0.0, 1.0, exclude_min=True)
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    band = st.none() | st.tuples(positive, positive).map(lambda p: tuple(sorted(p)))
+    node_count = draw(st.integers(2, 10**4))
+    # inside the mean degrees a connected graph on node_count nodes can have
+    degree = st.floats(2 * (node_count - 1) / node_count, node_count - 1)
+    band = st.none() | st.tuples(degree, degree).map(lambda p: tuple(sorted(p)))
     f_max = draw(st.integers(0, 50))
     policies = draw(st.permutations(POLICIES).flatmap(
         lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))))
@@ -146,7 +149,7 @@ def configs(draw):
         workers=draw(st.integers(0, 64)),
         enumeration_cap=draw(st.integers(1, 10**9)),
         topology=WaxmanParams(
-            node_count=draw(st.integers(2, 10**4)), alpha=draw(unit), beta=draw(unit),
+            node_count=node_count, alpha=draw(unit), beta=draw(unit),
             side=draw(positive), seed=draw(st.integers(0, 2**32)), degree_band=draw(band)),
         capacities=CapacityDistributions(
             qubit_range=draw(_range(1, 10**4)), channel_range=draw(_range(1, 10**4)),
@@ -394,6 +397,15 @@ class TestRunExperiment:
         assert m.final_cost == m.cost[0]
         assert m.final_utility == m.utility_avg[0]
 
+    def test_budget_below_worst_case_load_warns(self, capsys):
+        # F*L*T = 3 * 4 * 10 = 120 channels exceeds the budget of 100
+        cfg = tiny_config(trials=1, policies=("OSCAR",),
+                          budget=BudgetParams(100, 10, V=2500.0, q0=10.0))
+        run_experiment(cfg, None, quiet=False)
+        out = capsys.readouterr().out
+        assert out.startswith("warning: budget below F*L*T; the worst-case request load "
+                              "may be unservable\nOSCAR: success=")
+
     def test_paired_streams_across_policies(self):
         cfg = tiny_config()
         result = run_experiment(cfg, None, quiet=True)
@@ -484,6 +496,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(tiny_config(), "gamma", [1, 2])
 
+    def test_no_values_rejected(self):
+        with pytest.raises(ValueError, match="sweep needs at least one value"):
+            sweep(tiny_config(), "C", [])
+
     @pytest.mark.parametrize("param,value", [
         ("C", 2500.9), ("C", True), ("C", "5000"), ("C", math.inf),
         ("node_count", 20.7), ("node_count", False), ("node_count", math.nan),
@@ -554,6 +570,13 @@ class TestCli:
         assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
         text = capsys.readouterr().out
         assert "theorem1_rhs" in text and "delta" in text
+
+    def test_bounds_command_warns_on_stock_budget(self, capsys):
+        # the stock C = 5000 is below F*L*T = 5 * 6 * 200 = 6000
+        assert cli_main(["bounds", "--config", "default"]) == 0
+        out = capsys.readouterr().out
+        assert "assumption1 = False" in out
+        assert out.endswith("warning: budget below F*L*T; the feasibility assumption fails\n")
 
     def test_validate_command(self, capsys):
         code = cli_main(["validate", "--samples", "20000", "--instances", "5", "--seed", "2"])
@@ -627,4 +650,16 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --values" in err and why in err
+        assert not out.exists()
+
+    def test_sweep_unreachable_degree_band_is_usage_error(self, tmp_path, capsys):
+        # the stock band (3.5, 4.5) fits 20 nodes but no connected 4-node graph;
+        # this used to run the 20-node experiment first, then fail generating
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", "default", "--param", "node_count",
+                      "--values", "20,4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --values: degree_band (3.5, 4.5) misses [1.5, 3]" in \
+            capsys.readouterr().err
         assert not out.exists()

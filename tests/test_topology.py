@@ -132,6 +132,16 @@ def test_malformed_degree_band_rejected(band):
         WaxmanParams(degree_band=band)
 
 
+@pytest.mark.parametrize("node_count, band, achievable", [
+    (4, (3.5, 4.5), "[1.5, 3]"),    # above the complete graph's degree
+    (20, (0.5, 1.5), "[1.9, 19]"),  # below a spanning tree's degree
+])
+def test_unreachable_degree_band_rejected(node_count, band, achievable):
+    # these used to burn every generation draw before failing
+    with pytest.raises(ValueError, match=re.escape(f"degree_band {band} misses {achievable}")):
+        WaxmanParams(node_count=node_count, degree_band=band)
+
+
 def test_zero_distance_probability_is_beta():
     # d_max = 0: every pair's factor is 1, so beta = 1 connects every pair
     points = np.full((6, 2), 37.5)
