@@ -14,7 +14,12 @@ candidate routes.  A ``VariablePool`` builds each route's block of
 per-variable arrays once per slot, and keeps the pricings from zero
 multipliers that recur across combinations.  A call's instance
 joins its routes' blocks; a call without a pool builds one for its own
-routes, so every call runs the same code and gives the same bits.
+routes, so every call runs the same code and gives the same bits.  A
+search that passes a floor can also keep its incumbent's final node and
+edge multipliers in the pool: the Lagrangian at them bounds every
+combination's relaxed optimum, and is summed from per-block parts, so a
+combination whose bound at zero multipliers or at the kept ones lies below
+the floor is cut before its blocks are joined.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Sequence
 
 from .model import (
@@ -58,8 +62,11 @@ class DominatedError(RuntimeError):
     """
 
     def __init__(self, bound: float):
-        super().__init__(f"relaxed optimum is at most {bound!r}, below the floor")
+        super().__init__(bound)
         self.bound = bound
+
+    def __str__(self) -> str:
+        return f"relaxed optimum is at most {self.bound!r}, below the floor"
 
 
 @dataclass(frozen=True)
@@ -113,12 +120,11 @@ class _Variables:
     ``ends`` holds each variable's edge endpoints, ``hi`` its box, and
     ``theta_one`` the price above which its unclamped stationary point
     drops to 1.  ``x0`` and ``slope0`` are its box-clamped maximizer and
-    slope at price ``q`` (all multipliers zero: the dual solve's start),
-    and ``terms`` its utility ``V*ln(1-a^x0)`` there.
+    slope at price ``q`` (all multipliers zero: the dual solve's start).
     """
 
     __slots__ = ("V", "q", "keys", "ends", "lna", "vlna", "hi", "theta_one",
-                 "x0", "slope0", "terms")
+                 "x0", "slope0")
 
     def _load(self, members: Sequence[int], theta: list[float], shift: float,
               x: list[float], slope: list[float]) -> tuple[float, float]:
@@ -152,9 +158,12 @@ class _Variables:
 
 
 class _Block(_Variables):
-    """The variables of one route: its edges in id order."""
+    """The variables of one route: its edges in id order.
 
-    __slots__ = ("route", "request_id")
+    ``terms`` holds each variable's utility ``V*ln(1-a^x0)`` at ``x0``.
+    """
+
+    __slots__ = ("route", "request_id", "terms")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities, route: Route,
                  params: PerSlotObjectiveParams):
@@ -184,6 +193,34 @@ class _Block(_Variables):
         log, expm1 = math.log, math.expm1
         self.terms = [V * log(-expm1(xi * lna)) for xi, lna in zip(self.x0, self.lna)]
 
+    def lagrangian_part(self, table: dict[tuple[int, int], tuple[int, float]]
+                        ) -> tuple[float, int]:
+        """The block's share of the Lagrangian at the multipliers of ``table``.
+
+        ``table`` maps each priced node ``(0, u)`` and edge ``(1, e)`` to
+        its bit and its multiplier.  A variable on edge ``e`` between ``u``
+        and ``v`` is priced at ``th = q + mu_u + mu_v + mu_e``, and the
+        share is the sum of ``max over [1, hi] of V*ln(1-a^x) - th*x``.
+        Also returns the bits of the priced sites the block touches.
+        """
+        n = len(self.keys)
+        theta, touched = [], 0
+        for (_, eid), (u, v) in zip(self.keys, self.ends):
+            th = self.q
+            for site in ((0, u), (0, v), (1, eid)):
+                if site in table:
+                    bit, mu = table[site]
+                    th += mu
+                    touched |= bit
+            theta.append(th)
+        x = [0.0] * n
+        self._load(range(n), theta, 0.0, x, [0.0] * n)
+        V, log, expm1 = self.V, math.log, math.expm1
+        part = 0.0
+        for xi, lna, th in zip(x, self.lna, theta):
+            part += V * log(-expm1(xi * lna)) - th * xi
+        return part, touched
+
 
 class VariablePool:
     """One slot's route blocks, each built once and shared by every call.
@@ -197,9 +234,18 @@ class VariablePool:
     pass the requests' own candidate objects); each block holds its route,
     so no key is reused while the pool lives.  ``pricings`` keeps results
     of ``_Instance._meet_cap`` from zero multipliers.
+
+    ``last`` is the last instance built up to its coupling constraints, so
+    after ``allocate`` returns it holds that call's solve.
+    ``keep_multipliers`` takes that solve's final node and edge multipliers
+    as the pool's table, and ``lagrangian_bound`` then bounds the relaxed
+    optimum of any combination from its blocks alone: by weak duality, the
+    Lagrangian at any nonnegative multipliers bounds it, whichever
+    combination they were solved for.
     """
 
-    __slots__ = ("graph", "caps", "params", "_blocks", "pricings")
+    __slots__ = ("graph", "caps", "params", "_blocks", "pricings", "last",
+                 "_table", "_parts")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
                  params: PerSlotObjectiveParams):
@@ -208,6 +254,13 @@ class VariablePool:
         # (multiplier, members' trial values, members' trial slopes) by the
         # constraint's cap and its members' keys and prices.
         self.pricings: dict[tuple, tuple[float, list[float], list[float]]] = {}
+        self.last: _Instance | None = None
+        # The bit and positive multiplier of each priced node (0, u) and
+        # edge (1, e), and each one's multiplier times its cap, in bit
+        # order; None until kept.
+        self._table: tuple[dict, list[float]] | None = None
+        # Each block's (Lagrangian part, touched sites) at the table.
+        self._parts: dict[int, tuple[float, int]] = {}
 
     def block(self, route: Route) -> _Block:
         found = self._blocks.get(id(route))
@@ -215,6 +268,44 @@ class VariablePool:
             found = self._blocks[id(route)] = _Block(self.graph, self.caps, route,
                                                      self.params)
         return found
+
+    def keep_multipliers(self) -> None:
+        """Make the final node and edge multipliers of ``last``'s solve the
+        table; with none positive the table would repeat the zero-multiplier
+        bound, so there is none.  No call has solved through the pool when
+        ``last`` is None, and the table is left as it is."""
+        inst = self.last
+        if inst is None:
+            return
+        table: dict[tuple[int, int], tuple[int, float]] = {}
+        weights: list[float] = []
+        caps_of = (self.caps.q_caps, self.caps.w_caps)
+        for (kind, j), mu in zip(inst.sites, inst.nu):
+            if mu > 0.0:
+                table[kind, j] = (1 << len(weights), mu)
+                weights.append(mu * caps_of[kind][j])
+        self._table = (table, weights) if table else None
+        self._parts = {}
+
+    def lagrangian_bound(self, blocks: Sequence[_Block]) -> float:
+        """The Lagrangian at the table of the combination of ``blocks``: its
+        blocks' parts plus multiplier times cap of every priced node and
+        edge they touch; +inf without a table."""
+        if self._table is None:
+            return math.inf
+        table, weights = self._table
+        parts = self._parts
+        total, touched = 0.0, 0
+        for b in blocks:
+            found = parts.get(id(b))
+            if found is None:
+                found = parts[id(b)] = b.lagrangian_part(table)
+            total += found[0]
+            touched |= found[1]
+        for k, weight in enumerate(weights):
+            if touched >> k & 1:
+                total += weight
+        return total
 
 
 class _Instance(_Variables):
@@ -225,18 +316,24 @@ class _Instance(_Variables):
     request-id order.  Constraints couple variables through node loads,
     edge loads, and the optional budget; constraints that cannot bind under
     the per-variable boxes are dropped.  ``budget`` is the budget
-    constraint when it is one of them, else None.
+    constraint when it is one of them, else None; ``sites`` names the node
+    ``(0, u)`` or edge ``(1, e)`` of each other constraint, and ``nu``
+    holds the constraints' multipliers once ``solve_relaxed`` has run.
 
-    Built in two stages: the joined per-variable arrays and the budget
-    first, the node and edge constraints second, from the blocks' endpoint
-    ids.  With a ``floor``, the bound of ``_initial_bound`` is checked
-    between the two, so an instance certified to lie below the floor raises
-    DominatedError before its coupling constraints are built or checked.
-    Without a ``pool``, the instance builds its own for ``routes``; the
-    pool also shares ``_meet_cap``'s pricings from zero multipliers.
+    With a ``floor``, an instance whose relaxed optimum is certified to lie
+    below it raises DominatedError before its coupling constraints are
+    built or checked.  The bound at zero multipliers is folded from the
+    blocks in request-id order, the order of the joined arrays, so it has
+    the bits of a sum over them.  Under an uncapped objective it is the
+    whole first bound, so it is checked, and then the pool's
+    ``lagrangian_bound``, before the blocks are joined: a cut combination
+    never builds its per-variable arrays.  Under a budget the arrays are
+    joined first and ``_initial_bound`` tightens the bound.  Without a
+    ``pool``, the instance builds its own for ``routes``; the pool also
+    shares ``_meet_cap``'s pricings from zero multipliers.
     """
 
-    __slots__ = ("constraints", "budget", "bound", "floor", "pricings")
+    __slots__ = ("constraints", "budget", "sites", "nu", "bound", "floor", "pricings")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
                  routes: Sequence[Route], params: PerSlotObjectiveParams,
@@ -246,15 +343,33 @@ class _Instance(_Variables):
         elif (pool.graph, pool.caps, pool.params) != (graph, caps, params):
             raise ValueError("pool was built for another graph, capacities or objective")
         blocks = sorted(map(pool.block, routes), key=_request_id)
-        self.pricings = pool.pricings
-        self.V, self.q = params.V, params.q
-        self.keys, self.ends, self.lna, self.vlna, self.hi = [], [], [], [], []
-        self.theta_one, self.x0, self.slope0, self.terms = [], [], [], []
         last = None
         for b in blocks:
             if b.request_id == last:
                 raise ValueError("duplicate (request, edge) variable; one route per request")
             last = b.request_id
+        self.pricings = pool.pricings
+        self.V, self.q = params.V, params.q
+        self.floor = floor
+        self.bound = math.inf
+        if floor > -math.inf:
+            terms = cost = 0.0
+            for b in blocks:
+                for t in b.terms:
+                    terms += t
+                for xi in b.x0:
+                    cost += xi
+            self.bound = terms - self.q * cost
+            if params.cost_cap is None:  # no budget to tighten it: check before the join
+                if self.bound < floor:
+                    raise DominatedError(self.bound)
+                bound = pool.lagrangian_bound(blocks)
+                if bound < floor:
+                    raise DominatedError(bound)
+
+        self.keys, self.ends, self.lna, self.vlna, self.hi = [], [], [], [], []
+        self.theta_one, self.x0, self.slope0 = [], [], []
+        for b in blocks:
             self.keys += b.keys
             self.ends += b.ends
             self.lna += b.lna
@@ -263,7 +378,6 @@ class _Instance(_Variables):
             self.theta_one += b.theta_one
             self.x0 += b.x0
             self.slope0 += b.slope0
-            self.terms += b.terms
         n = len(self.keys)
 
         self.budget = None
@@ -274,14 +388,12 @@ class _Instance(_Variables):
                 )
             if sum(self.hi) > params.cost_cap:
                 self.budget = (tuple(range(n)), float(params.cost_cap))
-
-        self.floor = floor
-        self.bound = math.inf
-        if floor > -math.inf:
-            self.bound = self._initial_bound()
-            if self.bound < floor:
-                raise DominatedError(self.bound)
+            if floor > -math.inf:
+                self.bound = self._initial_bound(self.bound)
+                if self.bound < floor:
+                    raise DominatedError(self.bound)
         self._couple(caps)
+        pool.last = self
 
     def _couple(self, caps: SlotCapacities) -> None:
         """Node constraints, then edge constraints, then the budget."""
@@ -294,21 +406,24 @@ class _Instance(_Variables):
         hi = self.hi
 
         constraints: list[tuple[tuple[int, ...], float]] = []
-        for kind, members_of, caps_of, what, unit in (
+        sites: list[tuple[int, int]] = []
+        for kind, (name, members_of, caps_of, what, unit) in enumerate((
                 ("node", node_members, caps.q_caps, "allocated edges", "qubits"),
-                ("edge", edge_members, caps.w_caps, "requests", "channels")):
+                ("edge", edge_members, caps.w_caps, "requests", "channels"))):
             for j in sorted(members_of):
                 members, cap = members_of[j], caps_of[j]
                 if len(members) > cap:
                     raise InfeasibleSelectionError(
-                        f"{kind} {j}: {len(members)} {what} exceed {cap} {unit}"
+                        f"{name} {j}: {len(members)} {what} exceed {cap} {unit}"
                     )
                 # A lone member's box already lies within the cap.
                 if len(members) > 1 and sum([hi[i] for i in members]) > cap:
                     constraints.append((tuple(members), float(cap)))
+                    sites.append((kind, j))
         if self.budget is not None:
             constraints.append(self.budget)
         self.constraints = constraints
+        self.sites = sites
 
     # -- relaxed program ----------------------------------------------------
 
@@ -414,19 +529,16 @@ class _Instance(_Variables):
             self._load(members, theta, guess - old, trial_x, trial_slope)
         return guess
 
-    def _initial_bound(self) -> float:
+    def _initial_bound(self, bound: float) -> float:
         """Upper bound on the relaxed optimum before any multiplier moves.
 
-        The dual value at zero multipliers, tightened when the budget is a
-        constraint by the budget-only Lagrangian at the price where the
-        box maximizers' total meets the budget.  Needs only the
-        per-variable arrays and the budget.  The zero-multiplier value is
-        ``_value(x0, q)``'s Lagrangian part, summed in the same order from
-        the blocks' ``terms``, so it has the same bits.
+        ``bound``, the dual value at zero multipliers, tightened when the
+        budget is a constraint by the budget-only Lagrangian at the price
+        where the box maximizers' total meets the budget.  Needs only the
+        per-variable arrays and the budget.
         """
         n = len(self.keys)
         x, slope = self.x0, self.slope0
-        bound = reduce(add, self.terms, 0.0) - self.q * reduce(add, x, 0.0)
         if self.budget is not None:
             members, cap = self.budget
             if sum(x) > cap:
@@ -473,7 +585,7 @@ class _Instance(_Variables):
         # Member values at a constraint's new multiplier.
         trial_x, trial_slope = [0.0] * n, [0.0] * n
         bound, floor = self.bound, self.floor
-        nu = [0.0] * len(self.constraints)
+        nu = self.nu = [0.0] * len(self.constraints)
         updates = 0
         best_x: list[float] | None = None
         best_f = -math.inf
@@ -619,7 +731,10 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
 
     ``pool``, built for the same graph, capacities and objective, lets
     the calls of one route search share the routes' variable blocks; a
-    call returns or raises the same with or without it.
+    call returns or raises the same with or without it, until the pool
+    keeps multipliers.  Then a call whose bound at them is below ``floor``
+    raises DominatedError with that bound, before its capacities are
+    checked; a call that is not cut still returns the same.
     """
     inst = _Instance(graph, caps, routes, params, floor, pool)
     x, _ = inst.solve_relaxed()

@@ -9,7 +9,9 @@ whose allocation solve fails to converge, so one bad combination cannot
 abort a run.  The Gibbs sampler draws each proposal's acceptance variate
 first and rejects a proposal whose certified allocator bound already loses
 at that draw, without finishing its solve; exhaustive search under an
-uncapped objective cuts a combination whose bound loses to its incumbent.
+uncapped objective cuts a combination whose bound loses to its incumbent,
+and keeps the incumbent's multipliers in the pool, so that most
+combinations are cut by a bound summed from their routes' blocks.
 Each search builds one ``VariablePool`` and hands it to every allocator
 call, so a candidate route's variables are built, and a recurring
 constraint pricing is solved, once per search.
@@ -137,9 +139,13 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
     the first feasible one is handed to ``allocate`` with the incumbent's
     objective, lowered by a relative 1e-9, as its floor; a combination
     whose certified bound falls below it could not beat the incumbent and
-    is cut without a full solve.  The result is the same as solving every
-    combination.  Raises EnumerationCapError when the product space
-    exceeds the cap, and AllInfeasibleError when no combination is feasible.
+    is cut without a full solve.  Each new incumbent's final node and edge
+    multipliers go into the pool (``VariablePool.keep_multipliers``), so a
+    combination whose Lagrangian at them is below the floor is cut before
+    its instance is built.  The result is the same as solving every
+    combination, with one ``allocate`` call per combination.  Raises
+    EnumerationCapError when the product space exceeds the cap, and
+    AllInfeasibleError when no combination is feasible.
     """
     sizes = _space(requests)
     space = math.prod(sizes)
@@ -172,6 +178,7 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
             best_choice, best_alloc, best_f = choice, alloc, f
             if prune:
                 floor = best_f - 1e-9 * (1.0 + abs(best_f))
+                pool.keep_multipliers()
     if best_choice is None:
         raise AllInfeasibleError("every route combination is infeasible")
     selection = {req.request_id: c for req, c in zip(requests, best_choice)}

@@ -11,6 +11,7 @@ shift when unrelated parameters change.  A graph saves to a JSON document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +40,9 @@ class WaxmanParams:
     ``degree_band``, when set, rejects draws whose mean node degree falls
     outside the interval, the same way disconnected draws are rejected; the
     benchmark setup pins its topologies near degree 4.  A band that no
-    connected graph on ``node_count`` nodes can meet is a ``ValueError``.
+    connected graph on ``node_count`` nodes can meet is a ``ValueError``:
+    one outside the mean degrees such graphs have, or one that holds none
+    of the values ``2m/n`` they take.
     """
 
     node_count: int = 20
@@ -58,14 +61,25 @@ class WaxmanParams:
         if not self.side > 0:
             raise ValueError("side must be positive")
         band = self.degree_band
-        if band is not None and not band[0] <= band[1]:
+        if band is None:
+            return
+        if not band[0] <= band[1]:
             raise ValueError(f"degree_band must be null or (lo, hi) with lo <= hi, got {band}")
         # A connected simple graph has between n-1 and n(n-1)/2 edges.
         n = self.node_count
         least, most = 2 * (n - 1) / n, n - 1
-        if band is not None and (band[0] > most or band[1] < least):
+        if band[0] > most or band[1] < least:
             raise ValueError(f"degree_band {band} misses [{least:g}, {most}], the mean "
                              f"degrees a connected graph on {n} nodes can have")
+        # The least edge count m whose mean degree 2m/n, computed as
+        # generate_waxman computes it, reaches the band's low end.
+        m = max(n - 1, math.ceil(max(band[0], least) * n / 2) - 2)
+        while 2 * m / n < band[0]:
+            m += 1
+        if 2 * m / n > band[1]:
+            raise ValueError(f"degree_band {band} holds no mean degree 2m/{n} of a connected "
+                             f"graph on {n} nodes (m whole, {n - 1} <= m <= "
+                             f"{n * (n - 1) // 2})")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ Core claims:
       raises DominatedError with a bound that is at least the objective and
       below the floor; on a selection that breaks a node or edge capacity
       it raises InfeasibleSelectionError, or DominatedError with a bound
-      below the floor before the capacities are checked
+      below the floor before the capacities are checked; the error's
+      message names its bound and survives pickling
     - when the safeguarded Newton search runs out of steps, the trial
       values it leaves are those at the multiplier it returns; a solve
       that ends on a sweep moving no multiplier returns the best projected
@@ -33,6 +34,7 @@ Core claims:
 
 import hashlib
 import math
+import pickle
 from dataclasses import replace
 from itertools import product
 
@@ -593,6 +595,13 @@ class TestFloor:
                 with pytest.raises(DominatedError) as info:
                     allocate(g, caps, routes, params, floor=floor)
                 assert relaxed - _margin(relaxed) <= info.value.bound < floor
+
+    def test_cut_message(self):
+        # The message is built when it is shown, not on every cut.
+        exc = DominatedError(0.1 + 0.2)
+        assert str(exc) == "relaxed optimum is at most 0.30000000000000004, below the floor"
+        again = pickle.loads(pickle.dumps(exc))
+        assert (again.bound, str(again)) == (exc.bound, str(exc))
 
     def test_budget_lagrangian_tightens_initial_bound(self, monkeypatch):
         # At zero price the box maximizer sits at its cap of 10 channels,

@@ -136,9 +136,12 @@ def configs(draw):
     unit = st.floats(0.0, 1.0, exclude_min=True)
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     node_count = draw(st.integers(2, 10**4))
-    # inside the mean degrees a connected graph on node_count nodes can have
-    degree = st.floats(2 * (node_count - 1) / node_count, node_count - 1)
-    band = st.none() | st.tuples(degree, degree).map(lambda p: tuple(sorted(p)))
+    # inside the mean degrees a connected graph on node_count nodes can have,
+    # around one of the values 2m/n it takes
+    least, most = 2 * (node_count - 1) / node_count, node_count - 1
+    edges = draw(st.integers(node_count - 1, node_count * (node_count - 1) // 2))
+    degree = 2 * edges / node_count
+    band = st.none() | st.tuples(st.floats(least, degree), st.floats(degree, most))
     f_max = draw(st.integers(0, 50))
     policies = draw(st.permutations(POLICIES).flatmap(
         lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))))

@@ -16,6 +16,11 @@ Core claims:
     - exhaustive search that cuts combinations at the incumbent returns
       exactly what it returns when every combination is solved, ties
       included; capped objectives pass no floor
+    - uncapped, the Lagrangian at any solved combination's multipliers
+      bounds every combination's relaxed optimum
+    - exhaustive OSCAR over the default config's first slots makes one
+      allocate call per combination, and cuts, couples and solves pinned
+      counts of them
     - Gibbs and exhaustive slots of the default config's trial 0 match
       recorded digests bit for bit, and so does every allocator call the
       Gibbs slots make, with its floor and outcome
@@ -33,13 +38,15 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from instances import random_allocation_instance
-from qdnroute import selection
+from qdnroute import allocation, selection
 from qdnroute.allocation import (
     DominatedError,
     InfeasibleSelectionError,
     NoConvergenceError,
     PerSlotObjectiveParams,
+    VariablePool,
     allocate,
+    solve_relaxed,
 )
 from qdnroute.controller import POLICIES, ControllerState, run_slot
 from qdnroute.harness import default_config
@@ -452,6 +459,37 @@ class TestIncumbentFloor:
         assert len(cut) > 100
 
 
+class TestMultiplierTable:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), free=st.booleans(), duplicate=st.booleans())
+    def test_bound_holds_and_search_is_exact(self, seed, free, duplicate):
+        # Uncapped, at q = 0 and q > 0: the multipliers of any solved
+        # combination, taken as the incumbent's, bound every combination's
+        # relaxed optimum, and the search that cuts by them is exact.
+        g, caps, reqs, params = floor_instance(np.random.default_rng(seed), False,
+                                               free, duplicate)
+        combos = [[r.candidates[c] for r, c in zip(reqs, choice)]
+                  for choice in product(*(range(len(r.candidates)) for r in reqs))]
+        optima = []
+        for routes in combos:
+            try:
+                optima.append(solve_relaxed(g, caps, routes, params).objective)
+            except (InfeasibleSelectionError, NoConvergenceError):
+                optima.append(None)
+        pool = VariablePool(g, caps, params)
+        for incumbent, f in zip(combos, optima):
+            if f is None:
+                continue
+            allocate(g, caps, incumbent, params, pool=pool)
+            pool.keep_multipliers()
+            for routes, opt in zip(combos, optima):
+                if opt is not None:
+                    bound = pool.lagrangian_bound([pool.block(r) for r in routes])
+                    assert bound >= opt - 1e-9 * (1.0 + abs(opt))
+        want = exhaustive_outcome(g, caps, reqs, params, unfloored)
+        assert exhaustive_outcome(g, caps, reqs, params, allocate) == want
+
+
 # SHA-256 of every slot, and of every Gibbs allocator call, of the tests
 # below; update one only for a change that alters selections, allocations or
 # the calls that find them on purpose.
@@ -460,14 +498,14 @@ PINNED_EXHAUSTIVE_SHA256 = "0b6acd8b7e27cfaf1b59bdb3238de53e4fd56b69b9c9bf283913
 PINNED_CALLS_SHA256 = "b66c8c87926c0f631916d224fdede136729b4e78c3fc67cd2cc61fa7dee792e9"
 
 
-def _slots_digest(slots, enumeration_cap):
+def _slots_digest(slots, enumeration_cap, policies=None):
     # The first slots of the default config's trial 0 under every policy.
     cfg = default_config()
     seed = cfg.seed
     graph = generate_waxman(replace(cfg.topology, seed=seed), cfg.capacities)
     cache = CandidateCache(graph, cfg.route)
     h = hashlib.sha256()
-    for policy in cfg.policies:
+    for policy in policies or cfg.policies:
         state = ControllerState(q=cfg.budget.q0 if policy == "OSCAR" else 0.0,
                                 policy=policy)
         for t in range(slots):
@@ -513,3 +551,41 @@ def test_gibbs_calls_pinned(monkeypatch):
     monkeypatch.setattr(selection, "allocate", recording)
     _slots_digest(20, 2)
     assert h.hexdigest() == PINNED_CALLS_SHA256
+
+
+def test_exhaustive_work_pinned(monkeypatch):
+    # Exhaustive OSCAR over the first slots of the default config's trial 0:
+    # one allocate call per route combination (perfbench's traced check
+    # counts them), and how far the calls get: cut before their coupling
+    # constraints are built, coupled, and solved in full.
+    spaces, calls = [], []
+    work = {"cut before coupling": 0, "coupled": 0, "solved": 0}
+
+    def searching(graph, caps, requests, params, *args):
+        spaces.append(math.prod(len(r.candidates) for r in requests))
+        calls.append(0)
+        return exhaustive_select(graph, caps, requests, params, *args)
+
+    def counting(graph, caps, routes, params, floor=-math.inf, pool=None):
+        calls[-1] += 1
+        coupled = work["coupled"]
+        try:
+            result = allocate(graph, caps, routes, params, floor=floor, pool=pool)
+        except DominatedError:
+            work["cut before coupling"] += work["coupled"] == coupled
+            raise
+        work["solved"] += 1
+        return result
+
+    couple = allocation._Instance._couple
+
+    def coupling(self, caps):
+        work["coupled"] += 1
+        return couple(self, caps)
+
+    monkeypatch.setattr(selection, "exhaustive_select", searching)
+    monkeypatch.setattr(selection, "allocate", counting)
+    monkeypatch.setattr(allocation._Instance, "_couple", coupling)
+    _slots_digest(10, selection.DEFAULT_ENUMERATION_CAP, ("OSCAR",))
+    assert calls == spaces and sum(calls) == 1092
+    assert work == {"cut before coupling": 1030, "coupled": 62, "solved": 34}

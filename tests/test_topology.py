@@ -7,7 +7,9 @@ Core claims:
       and leaves the stream in the same state; pinned digests guard the
       generated graphs, redraw capacities and calibrated beta
     - the default setup lands near mean degree 4, and the degree band
-      rejects draws outside it
+      rejects draws outside it; a band that holds no mean degree 2m/n a
+      connected graph can take is rejected up front, and one that holds a
+      single such value is accepted
     - slot capacities are the base values in static mode and per-slot
       uniform redraws otherwise, deterministic in (seed, t)
     - request sampling gives distinct ordered pairs with the configured
@@ -140,6 +142,30 @@ def test_unreachable_degree_band_rejected(node_count, band, achievable):
     # these used to burn every generation draw before failing
     with pytest.raises(ValueError, match=re.escape(f"degree_band {band} misses {achievable}")):
         WaxmanParams(node_count=node_count, degree_band=band)
+
+
+def test_band_between_achievable_degrees_rejected():
+    # mean degrees on 20 nodes step by 0.1, so no draw can land in this band;
+    # it used to burn every generation draw before failing
+    message = ("degree_band (2.01, 2.09) holds no mean degree 2m/20 of a connected "
+               "graph on 20 nodes (m whole, 19 <= m <= 190)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WaxmanParams(degree_band=(2.01, 2.09))
+
+
+@pytest.mark.parametrize("node_count, band", [
+    (20, (2.05, 2.1)),   # holds 2*21/20 alone
+    (20, (4.0, 4.0)),    # a single point at 2*40/20
+    (3, (4 / 3, 4 / 3)),  # a spanning tree's degree, 2*2/3 as the generator divides
+    (4, (3.0, 3.0)),     # the complete graph's degree
+])
+def test_band_holding_one_achievable_degree_accepted(node_count, band):
+    WaxmanParams(node_count=node_count, degree_band=band)
+
+
+def test_single_degree_band_generates_that_degree():
+    g = generate_waxman(WaxmanParams(degree_band=(4.0, 4.0)), CAPS)
+    assert 2 * g.edge_count / g.node_count == 4.0
 
 
 def test_zero_distance_probability_is_beta():
