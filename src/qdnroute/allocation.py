@@ -14,12 +14,14 @@ candidate routes.  A ``VariablePool`` builds each route's block of
 per-variable arrays once per slot, and keeps the pricings from zero
 multipliers that recur across combinations.  A call's instance
 joins its routes' blocks; a call without a pool builds one for its own
-routes, so every call runs the same code and gives the same bits.  A
-search that passes a floor can also keep its incumbent's final node and
-edge multipliers in the pool: the Lagrangian at them bounds every
-combination's relaxed optimum, and is summed from per-block parts, so a
-combination whose bound at zero multipliers or at the kept ones lies below
-the floor is cut before its blocks are joined.
+routes, so every call runs the same code and gives the same bits.
+
+Capped or uncapped, a call with a floor first bounds its relaxed
+optimum from per-block parts: the Lagrangian at zero multipliers, or the
+smaller of that and the Lagrangian at the node and edge multipliers that a
+search kept in the pool from its incumbent's solve (by weak duality, each
+bounds every combination).  A combination whose bound lies below the floor
+is cut before its blocks are joined.
 """
 
 from __future__ import annotations
@@ -160,10 +162,11 @@ class _Variables:
 class _Block(_Variables):
     """The variables of one route: its edges in id order.
 
-    ``terms`` holds each variable's utility ``V*ln(1-a^x0)`` at ``x0``.
+    ``zero`` is the block's share of the Lagrangian at zero multipliers:
+    the sum of ``V*ln(1-a^x0) - q*x0`` over its variables.
     """
 
-    __slots__ = ("route", "request_id", "terms")
+    __slots__ = ("route", "request_id", "zero")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities, route: Route,
                  params: PerSlotObjectiveParams):
@@ -183,6 +186,8 @@ class _Block(_Variables):
         self.vlna = [V * lna for lna in self.lna]
         self.hi = [float(min(w_caps[eid], q_caps[u], q_caps[v]))
                    for eid, (u, v) in zip(eids, self.ends)]
+        if min(self.hi) < 0.0:
+            raise ValueError("slot capacities must be >= 0")
         self.theta_one = []
         for eid, lna in zip(eids, self.lna):
             a = 1.0 - graph.p_edge[eid]
@@ -190,8 +195,11 @@ class _Block(_Variables):
         n = len(eids)
         self.x0, self.slope0 = [0.0] * n, [0.0] * n
         self._load(range(n), [self.q] * n, 0.0, self.x0, self.slope0)
-        log, expm1 = math.log, math.expm1
-        self.terms = [V * log(-expm1(xi * lna)) for xi, lna in zip(self.x0, self.lna)]
+        q, log, expm1 = self.q, math.log, math.expm1
+        zero = 0.0
+        for xi, lna in zip(self.x0, self.lna):
+            zero += V * log(-expm1(xi * lna)) - q * xi
+        self.zero = zero
 
     def lagrangian_part(self, table: dict[tuple[int, int], tuple[int, float]]
                         ) -> tuple[float, int]:
@@ -235,13 +243,13 @@ class VariablePool:
     so no key is reused while the pool lives.  ``pricings`` keeps results
     of ``_Instance._meet_cap`` from zero multipliers.
 
-    ``last`` is the last instance built up to its coupling constraints, so
-    after ``allocate`` returns it holds that call's solve.
-    ``keep_multipliers`` takes that solve's final node and edge multipliers
-    as the pool's table, and ``lagrangian_bound`` then bounds the relaxed
-    optimum of any combination from its blocks alone: by weak duality, the
-    Lagrangian at any nonnegative multipliers bounds it, whichever
-    combination they were solved for.
+    ``lagrangian_bound`` bounds the relaxed optimum of any combination from
+    its blocks alone, by the Lagrangian at zero multipliers and, once
+    ``keep_multipliers`` has kept a table, at the table's too: by weak
+    duality, the Lagrangian at any nonnegative multipliers bounds it,
+    whichever combination they were solved for.  ``last`` is the last
+    instance built up to its coupling constraints, so after ``allocate``
+    returns it holds that call's solve.
     """
 
     __slots__ = ("graph", "caps", "params", "_blocks", "pricings", "last",
@@ -249,6 +257,12 @@ class VariablePool:
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
                  params: PerSlotObjectiveParams):
+        if len(caps.q_caps) != graph.node_count:
+            raise ValueError(f"{len(caps.q_caps)} slot qubit caps for "
+                             f"{graph.node_count} nodes")
+        if len(caps.w_caps) != graph.edge_count:
+            raise ValueError(f"{len(caps.w_caps)} slot channel caps for "
+                             f"{graph.edge_count} edges")
         self.graph, self.caps, self.params = graph, caps, params
         self._blocks: dict[int, _Block] = {}
         # (multiplier, members' trial values, members' trial slopes) by the
@@ -272,8 +286,10 @@ class VariablePool:
     def keep_multipliers(self) -> None:
         """Make the final node and edge multipliers of ``last``'s solve the
         table; with none positive the table would repeat the zero-multiplier
-        bound, so there is none.  No call has solved through the pool when
-        ``last`` is None, and the table is left as it is."""
+        bound, so there is none.  A budget's multiplier is left out: at a
+        zero budget multiplier the table's Lagrangian still bounds a
+        budgeted optimum.  No call has solved through the pool when ``last``
+        is None, and the table is left as it is."""
         inst = self.last
         if inst is None:
             return
@@ -287,12 +303,20 @@ class VariablePool:
         self._table = (table, weights) if table else None
         self._parts = {}
 
-    def lagrangian_bound(self, blocks: Sequence[_Block]) -> float:
-        """The Lagrangian at the table of the combination of ``blocks``: its
-        blocks' parts plus multiplier times cap of every priced node and
-        edge they touch; +inf without a table."""
-        if self._table is None:
-            return math.inf
+    def lagrangian_bound(self, blocks: Sequence[_Block],
+                         floor: float = -math.inf) -> float:
+        """An upper bound on the relaxed optimum of the combination of
+        ``blocks``: the Lagrangian at zero multipliers, the sum of the
+        blocks' ``zero``, or with a table the smaller of that and the
+        Lagrangian at the table, the blocks' parts plus multiplier times cap
+        of every priced node and edge they touch.  A zero-multiplier bound
+        already below ``floor`` is returned without pricing the blocks at
+        the table."""
+        zero = 0.0
+        for b in blocks:
+            zero += b.zero
+        if self._table is None or zero < floor:
+            return zero
         table, weights = self._table
         parts = self._parts
         total, touched = 0.0, 0
@@ -305,7 +329,7 @@ class VariablePool:
         for k, weight in enumerate(weights):
             if touched >> k & 1:
                 total += weight
-        return total
+        return min(zero, total)
 
 
 class _Instance(_Variables):
@@ -322,18 +346,16 @@ class _Instance(_Variables):
 
     With a ``floor``, an instance whose relaxed optimum is certified to lie
     below it raises DominatedError before its coupling constraints are
-    built or checked.  The bound at zero multipliers is folded from the
-    blocks in request-id order, the order of the joined arrays, so it has
-    the bits of a sum over them.  Under an uncapped objective it is the
-    whole first bound, so it is checked, and then the pool's
-    ``lagrangian_bound``, before the blocks are joined: a cut combination
-    never builds its per-variable arrays.  Under a budget the arrays are
-    joined first and ``_initial_bound`` tightens the bound.  Without a
-    ``pool``, the instance builds its own for ``routes``; the pool also
-    shares ``_meet_cap``'s pricings from zero multipliers.
+    built or checked.  Capped or uncapped, the pool's
+    ``lagrangian_bound`` is checked first, before the blocks are joined: a
+    cut combination never builds its per-variable arrays.  Under a budget,
+    ``_budget_bound`` is checked once the arrays are joined and their
+    all-ones cost fits it.  Without a ``pool``, the instance builds its own
+    for ``routes``; the pool also shares ``_meet_cap``'s pricings from zero
+    multipliers.
     """
 
-    __slots__ = ("constraints", "budget", "sites", "nu", "bound", "floor", "pricings")
+    __slots__ = ("constraints", "budget", "sites", "nu", "floor", "pricings")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
                  routes: Sequence[Route], params: PerSlotObjectiveParams,
@@ -351,21 +373,10 @@ class _Instance(_Variables):
         self.pricings = pool.pricings
         self.V, self.q = params.V, params.q
         self.floor = floor
-        self.bound = math.inf
         if floor > -math.inf:
-            terms = cost = 0.0
-            for b in blocks:
-                for t in b.terms:
-                    terms += t
-                for xi in b.x0:
-                    cost += xi
-            self.bound = terms - self.q * cost
-            if params.cost_cap is None:  # no budget to tighten it: check before the join
-                if self.bound < floor:
-                    raise DominatedError(self.bound)
-                bound = pool.lagrangian_bound(blocks)
-                if bound < floor:
-                    raise DominatedError(bound)
+            bound = pool.lagrangian_bound(blocks, floor)
+            if bound < floor:
+                raise DominatedError(bound)
 
         self.keys, self.ends, self.lna, self.vlna, self.hi = [], [], [], [], []
         self.theta_one, self.x0, self.slope0 = [], [], []
@@ -389,9 +400,9 @@ class _Instance(_Variables):
             if sum(self.hi) > params.cost_cap:
                 self.budget = (tuple(range(n)), float(params.cost_cap))
             if floor > -math.inf:
-                self.bound = self._initial_bound(self.bound)
-                if self.bound < floor:
-                    raise DominatedError(self.bound)
+                bound = self._budget_bound()
+                if bound < floor:
+                    raise DominatedError(bound)
         self._couple(caps)
         pool.last = self
 
@@ -529,29 +540,27 @@ class _Instance(_Variables):
             self._load(members, theta, guess - old, trial_x, trial_slope)
         return guess
 
-    def _initial_bound(self, bound: float) -> float:
-        """Upper bound on the relaxed optimum before any multiplier moves.
+    def _budget_bound(self) -> float:
+        """Upper bound on the relaxed optimum from the budget alone.
 
-        ``bound``, the dual value at zero multipliers, tightened when the
-        budget is a constraint by the budget-only Lagrangian at the price
-        where the box maximizers' total meets the budget.  Needs only the
-        per-variable arrays and the budget.
+        The budget-only Lagrangian at the price where the box maximizers'
+        total meets the budget; +inf when their total fits it.  Needs only
+        the per-variable arrays and the budget.
         """
-        n = len(self.keys)
+        if self.budget is None:
+            return math.inf
+        members, cap = self.budget
         x, slope = self.x0, self.slope0
-        if self.budget is not None:
-            members, cap = self.budget
-            if sum(x) > cap:
-                theta = [self.q] * n
-                # Some member sits above 1 (the all-ones cost fits), so the
-                # bracket's top exceeds 1 and every guess lies strictly inside
-                # (0, top): lam > 0, and the trial values are those at lam.
-                trial_x, trial_slope = [0.0] * n, [0.0] * n
-                lam = self._meet_cap(members, cap, theta, 0.0,
-                                     x, slope, trial_x, trial_slope)
-                lagrangian = self._value(trial_x, theta)[1] - lam * (sum(trial_x) - cap)
-                bound = min(bound, lagrangian)
-        return bound
+        if sum(x) <= cap:
+            return math.inf
+        n = len(self.keys)
+        theta = [self.q] * n
+        # Some member sits above 1 (the all-ones cost fits), so the bracket's
+        # top exceeds 1 and every guess lies strictly inside (0, top):
+        # lam > 0, and the trial values are those at lam.
+        trial_x, trial_slope = [0.0] * n, [0.0] * n
+        lam = self._meet_cap(members, cap, theta, 0.0, x, slope, trial_x, trial_slope)
+        return self._value(trial_x, theta)[1] - lam * (sum(trial_x) - cap)
 
     def solve_relaxed(self) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
@@ -574,7 +583,7 @@ class _Instance(_Variables):
 
         Raises DominatedError as soon as the dual value at the end of a
         sweep, a certified upper bound on the relaxed optimum, falls below
-        the instance's floor (the bound before the first sweep was checked
+        the instance's floor (the bounds before the first sweep were checked
         at build time).  The bounds are computed beside the solve and leave
         its path unchanged.
         """
@@ -584,7 +593,7 @@ class _Instance(_Variables):
         x, slope = self.x0[:], self.slope0[:]
         # Member values at a constraint's new multiplier.
         trial_x, trial_slope = [0.0] * n, [0.0] * n
-        bound, floor = self.bound, self.floor
+        floor = self.floor
         nu = self.nu = [0.0] * len(self.constraints)
         updates = 0
         best_x: list[float] | None = None
@@ -619,10 +628,8 @@ class _Instance(_Variables):
             f_feas, dual = self._value(x, theta)
             for nu_c, (_, cap) in zip(nu, self.constraints):
                 dual += nu_c * cap
-            if dual < bound:
-                bound = dual
-                if bound < floor:
-                    raise DominatedError(bound)
+            if dual < floor:
+                raise DominatedError(dual)
             feas, shrunk = self._project(list(x))
             if shrunk:
                 f_feas = self._value(feas, theta)[0]
@@ -725,9 +732,10 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     without finishing the solve, as soon as a certified upper bound on the
     relaxed optimum (and so on the returned objective) falls below
     ``floor``; a call that is not cut returns what it would without one.
-    The first bound needs only the routes' variables and the budget, so
+    The first bounds need only the routes' variables and the budget, so
     with a floor a selection whose bound is below it raises DominatedError
-    even when its node or edge capacities would make it infeasible.
+    even when its node or edge capacities would make it infeasible; the
+    bound from the routes' blocks also wins over the all-ones budget check.
 
     ``pool``, built for the same graph, capacities and objective, lets
     the calls of one route search share the routes' variable blocks; a

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from .controller import bound_summary
-from .harness import SWEEPABLE, _apply_sweep_value, load_config, run_experiment, sweep
+from .harness import (
+    SWEEPABLE,
+    ExperimentConfig,
+    _apply_sweep_value,
+    load_config,
+    run_experiment,
+    sweep,
+)
 from .model import (
     Allocation,
     Route,
@@ -29,7 +36,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(parser=parser)
 
 
-def _load(args) -> "ExperimentConfig":
+def _load(args) -> ExperimentConfig:
     """The config with its command-line overrides; a bad one is a usage error."""
     try:
         cfg = load_config(args.config)

@@ -21,15 +21,17 @@ Core claims:
       raises DominatedError with a bound that is at least the objective and
       below the floor; on a selection that breaks a node or edge capacity
       it raises InfeasibleSelectionError, or DominatedError with a bound
-      below the floor before the capacities are checked; the error's
-      message names its bound and survives pickling
+      below the floor before the capacities or the all-ones budget are
+      checked; the error's message names its bound and survives pickling
     - when the safeguarded Newton search runs out of steps, the trial
       values it leaves are those at the multiplier it returns; a solve
       that ends on a sweep moving no multiplier returns the best projected
       point of its sweeps, feasible and near the converged objective
     - allocate(pool=...) with one VariablePool shared by every route
       combination of a slot returns or raises exactly what allocate()
-      without a pool does, floor or no floor, bound for bound
+      without a pool does, floor or no floor, bound for bound; slot
+      capacities that do not fit the graph, or are negative on a route,
+      are rejected
 """
 
 import hashlib
@@ -583,6 +585,17 @@ class TestFloor:
                 allocate(g, caps, routes, params, floor=1e6)
             with pytest.raises(InfeasibleSelectionError):
                 allocate(g, caps, routes, params, floor=-1e6)
+        # The bound from the routes' blocks also comes before the all-ones
+        # budget check.
+        g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))
+        route = Route.from_nodes(g, [0, 1, 2], request_id=0)
+        params = PerSlotObjectiveParams(V=1.0, cost_cap=1)
+        caps = SlotCapacities.from_graph(g)
+        with pytest.raises(DominatedError):
+            allocate(g, caps, [route], params, floor=1e6)
+        with pytest.raises(InfeasibleSelectionError,
+                           match="^all-ones cost 2 exceeds slot budget 1$"):
+            allocate(g, caps, [route], params, floor=-1e6)
 
     def test_floor_above_relaxed_optimum_cuts(self):
         # Both the pre-loop bound and the per-sweep dual values get used.
@@ -688,3 +701,14 @@ class TestVariablePool:
         for kwargs in ({}, {"pool": pool}):
             with pytest.raises(ValueError, match="one route per request"):
                 allocate(g, caps, [first, second], params, **kwargs)
+
+    @pytest.mark.parametrize("q_caps, w_caps, message", [
+        ((20, 20), (10, 10), "2 slot qubit caps for 3 nodes"),
+        ((20, 20, 20), (10,), "1 slot channel caps for 2 edges"),
+        ((20, 20, 20), (10, -1), "slot capacities must be >= 0"),
+    ])
+    def test_capacities_that_do_not_fit_the_graph_rejected(self, q_caps, w_caps, message):
+        g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))
+        route = Route.from_nodes(g, [0, 1, 2], request_id=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            allocate(g, SlotCapacities(q_caps, w_caps), [route], PerSlotObjectiveParams(V=1.0))

@@ -2,12 +2,16 @@
 
 Callers import each name from its defining module, so no module may rely on
 another having been imported first (through the package root or a test).
-Each case starts a fresh interpreter with only ``src`` on the path.
+Each import case starts a fresh interpreter with only ``src`` on the path.
+Every annotation in the package also resolves to a name its module binds.
 """
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,32 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 def test_module_imports_alone(module):
     proc = _python("-c", f"import {module}")
     assert proc.returncode == 0, proc.stderr
+
+
+def _defined(module):
+    """Every function, class and method that ``module`` defines."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                if isinstance(member, property):
+                    member = member.fget
+                member = getattr(member, "__func__", member)  # class or static method
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_annotations_resolve(module):
+    for obj in _defined(importlib.import_module(module)):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            pytest.fail(f"{module}.{obj.__qualname__}: {exc}")
 
 
 def test_package_root_imports_no_module():
