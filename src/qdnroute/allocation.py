@@ -9,19 +9,20 @@ down-round and greedily hand out surplus.  The rounded point is guaranteed
 to be feasible, component-wise within 1 of the relaxed optimum, and within
 an additive gap ``delta_gap(V, F, L, p_min)`` of the integer optimum.
 
-A route search calls ``allocate`` for many combinations of the same few
-candidate routes.  A ``VariablePool`` builds each route's block of
-per-variable arrays once per slot, and keeps the pricings from zero
-multipliers that recur across combinations.  A call's instance
-joins its routes' blocks; a call without a pool builds one for its own
-routes, so every call runs the same code and gives the same bits.
+Each coupling constraint is a site priced by one multiplier: a node
+``(0, u)``, an edge ``(1, e)`` or the budget ``(2, 0)``.  A route search
+calls ``allocate`` for many combinations of the same few candidate routes.
+A ``VariablePool`` builds each route's block of per-variable arrays once
+per slot, and keeps the pricings from zero multipliers that recur across
+combinations.  Every instance joins its routes' blocks from a pool, which
+``allocate`` builds for a call that passes none.
 
 Capped or uncapped, a call with a floor first bounds its relaxed
 optimum from per-block parts: the Lagrangian at zero multipliers, or the
-smaller of that and the Lagrangian at the node and edge multipliers that a
-search kept in the pool from its incumbent's solve (by weak duality, each
-bounds every combination).  A combination whose bound lies below the floor
-is cut before its blocks are joined.
+smaller of that and the Lagrangian at the multipliers that a search kept
+in the pool from its incumbent's solve (by weak duality, each bounds
+every combination).  A combination whose bound lies below the floor is
+cut before its blocks are joined.
 """
 
 from __future__ import annotations
@@ -95,14 +96,6 @@ class PerSlotObjectiveParams:
             raise ValueError("cost_cap must be >= 0")
 
 
-@dataclass(frozen=True)
-class RelaxedSolution:
-    """Feasible fractional allocation and its relaxed objective value."""
-
-    values: dict[tuple[int, int], float]
-    objective: float
-
-
 def delta_gap(V: float, F: int, L: int, p_min: float) -> float:
     """Additive bound on the rounding loss: ``V * F * L * ln(2 - p_min)``."""
     if not 0.0 < p_min < 1.0:
@@ -158,12 +151,22 @@ class _Variables:
             load += xi
         return load, total
 
+    def _lagrangian(self, x: Sequence[float], theta: Sequence[float]) -> float:
+        """The per-variable part of the Lagrangian at prices ``theta``: the
+        sum of ``V*ln(1-a^x) - th*x`` over the variables, in order."""
+        V, log, expm1 = self.V, math.log, math.expm1
+        total = 0.0
+        for xi, lna, th in zip(x, self.lna, theta):
+            total += V * log(-expm1(xi * lna)) - th * xi
+        return total
+
 
 class _Block(_Variables):
     """The variables of one route: its edges in id order.
 
     ``zero`` is the block's share of the Lagrangian at zero multipliers:
-    the sum of ``V*ln(1-a^x0) - q*x0`` over its variables.
+    the sum of ``V*ln(1-a^x0) - q*x0`` over its variables.  A box that
+    holds no channel raises InfeasibleSelectionError.
     """
 
     __slots__ = ("route", "request_id", "zero")
@@ -186,36 +189,36 @@ class _Block(_Variables):
         self.vlna = [V * lna for lna in self.lna]
         self.hi = [float(min(w_caps[eid], q_caps[u], q_caps[v]))
                    for eid, (u, v) in zip(eids, self.ends)]
-        if min(self.hi) < 0.0:
-            raise ValueError("slot capacities must be >= 0")
+        if min(self.hi) < 1.0:
+            h, eid = min(zip(self.hi, eids))
+            if h < 0.0:
+                raise ValueError("slot capacities must be >= 0")
+            raise InfeasibleSelectionError(f"edge {eid}: 1 channel exceeds its slot box of {h:g}")
         self.theta_one = []
         for eid, lna in zip(eids, self.lna):
             a = 1.0 - graph.p_edge[eid]
             self.theta_one.append(-V * lna * a / (1.0 - a))
         n = len(eids)
+        theta = [self.q] * n
         self.x0, self.slope0 = [0.0] * n, [0.0] * n
-        self._load(range(n), [self.q] * n, 0.0, self.x0, self.slope0)
-        q, log, expm1 = self.q, math.log, math.expm1
-        zero = 0.0
-        for xi, lna in zip(self.x0, self.lna):
-            zero += V * log(-expm1(xi * lna)) - q * xi
-        self.zero = zero
+        self._load(range(n), theta, 0.0, self.x0, self.slope0)
+        self.zero = self._lagrangian(self.x0, theta)
 
     def lagrangian_part(self, table: dict[tuple[int, int], tuple[int, float]]
                         ) -> tuple[float, int]:
         """The block's share of the Lagrangian at the multipliers of ``table``.
 
-        ``table`` maps each priced node ``(0, u)`` and edge ``(1, e)`` to
-        its bit and its multiplier.  A variable on edge ``e`` between ``u``
-        and ``v`` is priced at ``th = q + mu_u + mu_v + mu_e``, and the
-        share is the sum of ``max over [1, hi] of V*ln(1-a^x) - th*x``.
-        Also returns the bits of the priced sites the block touches.
+        ``table`` maps each priced node ``(0, u)``, edge ``(1, e)`` and
+        budget ``(2, 0)`` to its bit and multiplier.  A variable on edge
+        ``e`` between ``u`` and ``v`` is priced at ``th = q + mu_u + mu_v +
+        mu_e + lam``, and the share is the sum of ``max over [1, hi] of
+        V*ln(1-a^x) - th*x``.  Also returns the touched sites' bits.
         """
         n = len(self.keys)
         theta, touched = [], 0
         for (_, eid), (u, v) in zip(self.keys, self.ends):
             th = self.q
-            for site in ((0, u), (0, v), (1, eid)):
+            for site in ((0, u), (0, v), (1, eid), (2, 0)):
                 if site in table:
                     bit, mu = table[site]
                     th += mu
@@ -223,11 +226,7 @@ class _Block(_Variables):
             theta.append(th)
         x = [0.0] * n
         self._load(range(n), theta, 0.0, x, [0.0] * n)
-        V, log, expm1 = self.V, math.log, math.expm1
-        part = 0.0
-        for xi, lna, th in zip(x, self.lna, theta):
-            part += V * log(-expm1(xi * lna)) - th * xi
-        return part, touched
+        return self._lagrangian(x, theta), touched
 
 
 class VariablePool:
@@ -236,20 +235,20 @@ class VariablePool:
     A route search calls ``allocate`` once per route combination or Gibbs
     proposal, under one slot's graph, capacities and objective, while the
     same few candidate routes recur across those calls.  The pool builds a
-    route's block of per-variable arrays on its first use and keeps it, so
-    a call that passes the pool assembles its instance from blocks instead
-    of from the graph.  Blocks are keyed by route identity (the searches
-    pass the requests' own candidate objects); each block holds its route,
-    so no key is reused while the pool lives.  ``pricings`` keeps results
-    of ``_Instance._meet_cap`` from zero multipliers.
+    route's block of per-variable arrays on its first use and keeps it, and
+    every instance is assembled from its pool's blocks.  Blocks are keyed
+    by route identity (the searches pass the requests' own candidate
+    objects); each block holds its route, so no key is reused while the
+    pool lives.  ``pricings`` keeps results of ``_Instance._meet_cap`` from
+    zero multipliers.
 
     ``lagrangian_bound`` bounds the relaxed optimum of any combination from
     its blocks alone, by the Lagrangian at zero multipliers and, once
-    ``keep_multipliers`` has kept a table, at the table's too: by weak
-    duality, the Lagrangian at any nonnegative multipliers bounds it,
-    whichever combination they were solved for.  ``last`` is the last
-    instance built up to its coupling constraints, so after ``allocate``
-    returns it holds that call's solve.
+    ``keep_multipliers`` has kept a table of node, edge and budget
+    multipliers, at the table's too: by weak duality, the Lagrangian at any
+    nonnegative multipliers bounds it, whichever combination they were
+    solved for.  ``last`` is the last instance built up to its coupling
+    constraints, so after ``allocate`` returns it holds that call's solve.
     """
 
     __slots__ = ("graph", "caps", "params", "_blocks", "pricings", "last",
@@ -269,9 +268,9 @@ class VariablePool:
         # constraint's cap and its members' keys and prices.
         self.pricings: dict[tuple, tuple[float, list[float], list[float]]] = {}
         self.last: _Instance | None = None
-        # The bit and positive multiplier of each priced node (0, u) and
-        # edge (1, e), and each one's multiplier times its cap, in bit
-        # order; None until kept.
+        # The bit and positive multiplier of each priced node (0, u), edge
+        # (1, e) and budget (2, 0), and each one's multiplier times its
+        # cap, in bit order; None until kept.
         self._table: tuple[dict, list[float]] | None = None
         # Each block's (Lagrangian part, touched sites) at the table.
         self._parts: dict[int, tuple[float, int]] = {}
@@ -284,18 +283,17 @@ class VariablePool:
         return found
 
     def keep_multipliers(self) -> None:
-        """Make the final node and edge multipliers of ``last``'s solve the
-        table; with none positive the table would repeat the zero-multiplier
-        bound, so there is none.  A budget's multiplier is left out: at a
-        zero budget multiplier the table's Lagrangian still bounds a
-        budgeted optimum.  No call has solved through the pool when ``last``
-        is None, and the table is left as it is."""
+        """Make the positive final multipliers of ``last``'s solve, node,
+        edge and budget alike, the table; with none positive the table would
+        repeat the zero-multiplier bound, so there is none.  No call has
+        solved through the pool when ``last`` is None, and the table is left
+        as it is."""
         inst = self.last
         if inst is None:
             return
         table: dict[tuple[int, int], tuple[int, float]] = {}
         weights: list[float] = []
-        caps_of = (self.caps.q_caps, self.caps.w_caps)
+        caps_of = (self.caps.q_caps, self.caps.w_caps, (self.params.cost_cap,))
         for (kind, j), mu in zip(inst.sites, inst.nu):
             if mu > 0.0:
                 table[kind, j] = (1 << len(weights), mu)
@@ -309,7 +307,7 @@ class VariablePool:
         ``blocks``: the Lagrangian at zero multipliers, the sum of the
         blocks' ``zero``, or with a table the smaller of that and the
         Lagrangian at the table, the blocks' parts plus multiplier times cap
-        of every priced node and edge they touch.  A zero-multiplier bound
+        of every priced site they touch.  A zero-multiplier bound
         already below ``floor`` is returned without pricing the blocks at
         the table."""
         zero = 0.0
@@ -333,16 +331,15 @@ class VariablePool:
 
 
 class _Instance(_Variables):
-    """One slot's allocation problem in flat-array form.
+    """One slot's allocation problem in flat-array form, built from ``pool``.
 
     Variables are the (request, edge) pairs of the selected routes, in
-    sorted key order: the routes' blocks from a ``VariablePool``, joined in
-    request-id order.  Constraints couple variables through node loads,
-    edge loads, and the optional budget; constraints that cannot bind under
-    the per-variable boxes are dropped.  ``budget`` is the budget
-    constraint when it is one of them, else None; ``sites`` names the node
-    ``(0, u)`` or edge ``(1, e)`` of each other constraint, and ``nu``
-    holds the constraints' multipliers once ``solve_relaxed`` has run.
+    sorted key order: the routes' blocks from the pool, joined in
+    request-id order.  Constraints couple them through the loads of nodes
+    ``(0, u)``, edges ``(1, e)`` and the optional budget ``(2, 0)``, the
+    sites that ``sites`` names; constraints that cannot bind under the
+    boxes are dropped.  ``nu`` holds their multipliers once
+    ``solve_relaxed`` has run.
 
     With a ``floor``, an instance whose relaxed optimum is certified to lie
     below it raises DominatedError before its coupling constraints are
@@ -350,20 +347,14 @@ class _Instance(_Variables):
     ``lagrangian_bound`` is checked first, before the blocks are joined: a
     cut combination never builds its per-variable arrays.  Under a budget,
     ``_budget_bound`` is checked once the arrays are joined and their
-    all-ones cost fits it.  Without a ``pool``, the instance builds its own
-    for ``routes``; the pool also shares ``_meet_cap``'s pricings from zero
-    multipliers.
+    all-ones cost fits it.  The pool also shares ``_meet_cap``'s pricings
+    from zero multipliers.
     """
 
-    __slots__ = ("constraints", "budget", "sites", "nu", "floor", "pricings")
+    __slots__ = ("constraints", "sites", "nu", "floor", "pricings")
 
-    def __init__(self, graph: QdnGraph, caps: SlotCapacities,
-                 routes: Sequence[Route], params: PerSlotObjectiveParams,
-                 floor: float = -math.inf, pool: VariablePool | None = None):
-        if pool is None:
-            pool = VariablePool(graph, caps, params)
-        elif (pool.graph, pool.caps, pool.params) != (graph, caps, params):
-            raise ValueError("pool was built for another graph, capacities or objective")
+    def __init__(self, routes: Sequence[Route], pool: VariablePool,
+                 floor: float = -math.inf):
         blocks = sorted(map(pool.block, routes), key=_request_id)
         last = None
         for b in blocks:
@@ -371,7 +362,7 @@ class _Instance(_Variables):
                 raise ValueError("duplicate (request, edge) variable; one route per request")
             last = b.request_id
         self.pricings = pool.pricings
-        self.V, self.q = params.V, params.q
+        self.V, self.q = pool.params.V, pool.params.q
         self.floor = floor
         if floor > -math.inf:
             bound = pool.lagrangian_bound(blocks, floor)
@@ -389,24 +380,21 @@ class _Instance(_Variables):
             self.theta_one += b.theta_one
             self.x0 += b.x0
             self.slope0 += b.slope0
-        n = len(self.keys)
 
-        self.budget = None
-        if params.cost_cap is not None:
-            if n > params.cost_cap:
+        cost_cap = pool.params.cost_cap
+        if cost_cap is not None:
+            if len(self.keys) > cost_cap:
                 raise InfeasibleSelectionError(
-                    f"all-ones cost {n} exceeds slot budget {params.cost_cap}"
+                    f"all-ones cost {len(self.keys)} exceeds slot budget {cost_cap}"
                 )
-            if sum(self.hi) > params.cost_cap:
-                self.budget = (tuple(range(n)), float(params.cost_cap))
             if floor > -math.inf:
-                bound = self._budget_bound()
+                bound = self._budget_bound(cost_cap)
                 if bound < floor:
                     raise DominatedError(bound)
-        self._couple(caps)
+        self._couple(pool.caps, cost_cap)
         pool.last = self
 
-    def _couple(self, caps: SlotCapacities) -> None:
+    def _couple(self, caps: SlotCapacities, cost_cap: int | None) -> None:
         """Node constraints, then edge constraints, then the budget."""
         node_members: defaultdict[int, list[int]] = defaultdict(list)
         edge_members: defaultdict[int, list[int]] = defaultdict(list)
@@ -431,8 +419,9 @@ class _Instance(_Variables):
                 if len(members) > 1 and sum([hi[i] for i in members]) > cap:
                     constraints.append((tuple(members), float(cap)))
                     sites.append((kind, j))
-        if self.budget is not None:
-            constraints.append(self.budget)
+        if cost_cap is not None and sum(hi) > cost_cap:
+            constraints.append((tuple(range(len(hi))), float(cost_cap)))
+            sites.append((2, 0))
         self.constraints = constraints
         self.sites = sites
 
@@ -479,35 +468,23 @@ class _Instance(_Variables):
         that floors every member].  ``theta`` includes the multiplier at
         ``old``, where ``x`` and ``slope`` hold the members' values.  When
         the returned multiplier differs from ``old``, ``trial_x`` and
-        ``trial_slope`` hold the members' values at it.
-
-        Pricing from a zero multiplier depends only on the cap and the
-        members' keys and prices (``x`` and ``slope`` are functions of the
-        prices).  Such pricings of a constraint that leaves some variable
-        out recur across a slot's route combinations, so the pool keeps
-        their results; one over every variable recurs only with its whole
-        combination, and is solved afresh.
+        ``trial_slope`` hold the members' values at it.  A search from a
+        zero multiplier over a constraint that leaves some variable out
+        depends only on the cap and the members' keys and prices, and
+        recurs across a slot's route combinations, so the pool keeps its
+        result; one over every variable recurs only with its combination.
         """
-        if old != 0.0 or len(members) == len(self.keys):
-            return self._newton(members, cap, theta, old, x, slope, trial_x, trial_slope)
-        keys = self.keys
-        key = (cap, *[keys[i] for i in members], *[theta[i] for i in members])
-        known = self.pricings.get(key)
-        if known is None:
-            guess = self._newton(members, cap, theta, old, x, slope, trial_x, trial_slope)
-            self.pricings[key] = (guess, [trial_x[i] for i in members],
-                                  [trial_slope[i] for i in members])
-            return guess
-        guess, xs, slopes = known
-        for i, xi, si in zip(members, xs, slopes):
-            trial_x[i] = xi
-            trial_slope[i] = si
-        return guess
-
-    def _newton(self, members: Sequence[int], cap: float, theta: list[float],
-                old: float, x: list[float], slope: list[float],
-                trial_x: list[float], trial_slope: list[float]) -> float:
-        """``_meet_cap``'s search, without the pool's record."""
+        key = None
+        if old == 0.0 and len(members) < len(self.keys):
+            keys = self.keys
+            key = (cap, *[keys[i] for i in members], *[theta[i] for i in members])
+            known = self.pricings.get(key)
+            if known is not None:
+                guess, xs, slopes = known
+                for i, xi, si in zip(members, xs, slopes):
+                    trial_x[i] = xi
+                    trial_slope[i] = si
+                return guess
         lo = 0.0
         hi_nu = -math.inf
         theta_one = self.theta_one
@@ -529,29 +506,27 @@ class _Instance(_Variables):
                 load, d_load = self._load(members, theta, guess - old, trial_x, trial_slope)
             err = load - cap
             if abs(err) <= tol_load:
-                return guess
+                break
             if err > 0.0:
                 lo = guess
             else:
                 hi_nu = guess
             step = guess - err / d_load if d_load < 0.0 else math.inf
             guess = step if lo < step < hi_nu else 0.5 * (lo + hi_nu)
-        if guess != old:  # the last guess was never evaluated
-            self._load(members, theta, guess - old, trial_x, trial_slope)
+        else:
+            if guess != old:  # the last guess was never evaluated
+                self._load(members, theta, guess - old, trial_x, trial_slope)
+        if key is not None:
+            self.pricings[key] = (guess, [trial_x[i] for i in members],
+                                  [trial_slope[i] for i in members])
         return guess
 
-    def _budget_bound(self) -> float:
-        """Upper bound on the relaxed optimum from the budget alone.
-
-        The budget-only Lagrangian at the price where the box maximizers'
-        total meets the budget; +inf when their total fits it.  Needs only
-        the per-variable arrays and the budget.
-        """
-        if self.budget is None:
-            return math.inf
-        members, cap = self.budget
+    def _budget_bound(self, cost_cap: int) -> float:
+        """Upper bound on the relaxed optimum from the budget alone: the
+        budget-only Lagrangian at the price where the box maximizers' total
+        meets ``cost_cap``, or +inf when their total fits it."""
         x, slope = self.x0, self.slope0
-        if sum(x) <= cap:
+        if sum(x) <= cost_cap:
             return math.inf
         n = len(self.keys)
         theta = [self.q] * n
@@ -559,8 +534,8 @@ class _Instance(_Variables):
         # top exceeds 1 and every guess lies strictly inside (0, top):
         # lam > 0, and the trial values are those at lam.
         trial_x, trial_slope = [0.0] * n, [0.0] * n
-        lam = self._meet_cap(members, cap, theta, 0.0, x, slope, trial_x, trial_slope)
-        return self._value(trial_x, theta)[1] - lam * (sum(trial_x) - cap)
+        lam = self._meet_cap(range(n), cost_cap, theta, 0.0, x, slope, trial_x, trial_slope)
+        return self._value(trial_x, theta)[1] - lam * (sum(trial_x) - cost_cap)
 
     def solve_relaxed(self) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
@@ -698,26 +673,7 @@ class _Instance(_Variables):
                 loads[ci] += 1
 
     def integer_objective(self, counts: Sequence[int]) -> float:
-        V, q, lna, log, expm1 = self.V, self.q, self.lna, math.log, math.expm1
-        return sum(V * log(-expm1(ni * lna[i])) - q * ni for i, ni in enumerate(counts))
-
-
-def solve_relaxed(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
-                  params: PerSlotObjectiveParams) -> RelaxedSolution:
-    """Solve the continuous relaxation of the per-slot allocation problem."""
-    inst = _Instance(graph, caps, routes, params)
-    x, objective = inst.solve_relaxed()
-    return RelaxedSolution(dict(zip(inst.keys, x)), objective)
-
-
-def round_allocation(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
-                     relaxed: RelaxedSolution,
-                     params: PerSlotObjectiveParams) -> Allocation:
-    """Round a relaxed solution to a feasible integer allocation."""
-    inst = _Instance(graph, caps, routes, params)
-    x = [relaxed.values[key] for key in inst.keys]
-    counts = inst.round_down_and_fill(x)
-    return Allocation(dict(zip(inst.keys, counts)))
+        return self._lagrangian(counts, [self.q] * len(counts))
 
 
 def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
@@ -726,25 +682,32 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
              pool: VariablePool | None = None) -> tuple[Allocation, float]:
     """Relaxed solve plus rounding; returns the allocation and its objective.
 
-    Raises InfeasibleSelectionError when the routes cannot even hold one
-    channel per edge under the slot's capacities, and NoConvergenceError
-    when the solve ends without a feasible point.  Raises DominatedError,
-    without finishing the solve, as soon as a certified upper bound on the
-    relaxed optimum (and so on the returned objective) falls below
-    ``floor``; a call that is not cut returns what it would without one.
-    The first bounds need only the routes' variables and the budget, so
-    with a floor a selection whose bound is below it raises DominatedError
-    even when its node or edge capacities would make it infeasible; the
-    bound from the routes' blocks also wins over the all-ones budget check.
+    The entry point of every allocation; builds a ``VariablePool`` for a
+    call that passes none.  Raises InfeasibleSelectionError when the routes
+    cannot even hold one channel per edge under the slot's capacities, and
+    NoConvergenceError when the solve ends without a feasible point.
+    Raises DominatedError, without finishing the solve, as soon as a
+    certified upper bound on the relaxed optimum (and so on the returned
+    objective) falls below ``floor``; a call that is not cut returns what
+    it would without one.  An edge whose box holds no channel raises
+    InfeasibleSelectionError before any cut.  The other first bounds need
+    only the routes' variables and the budget, so with a floor a selection
+    whose bound is below it raises DominatedError even when its node or
+    edge capacities would make it infeasible; the bound from the routes'
+    blocks also wins over the all-ones budget check.
 
-    ``pool``, built for the same graph, capacities and objective, lets
-    the calls of one route search share the routes' variable blocks; a
-    call returns or raises the same with or without it, until the pool
-    keeps multipliers.  Then a call whose bound at them is below ``floor``
+    A ``pool`` built for the same graph, capacities and objective lets the
+    calls of one route search share the routes' variable blocks; a call
+    returns or raises the same with or without it, until the pool keeps
+    multipliers.  Then a call whose bound at them is below ``floor``
     raises DominatedError with that bound, before its capacities are
     checked; a call that is not cut still returns the same.
     """
-    inst = _Instance(graph, caps, routes, params, floor, pool)
+    if pool is None:
+        pool = VariablePool(graph, caps, params)
+    elif (pool.graph, pool.caps, pool.params) != (graph, caps, params):
+        raise ValueError("pool was built for another graph, capacities or objective")
+    inst = _Instance(routes, pool, floor)
     x, _ = inst.solve_relaxed()
     counts = inst.round_down_and_fill(x)
     alloc = Allocation(dict(zip(inst.keys, counts)))

@@ -155,14 +155,13 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
             "use gibbs_select"
         )
     # Capped objectives (MF, MA) pass no floor, though the floor is exact
-    # for them too.  Passing it (perfbench wide-redraw, seed 0, 36 s runs,
-    # two alternating pairs, same records digest d0d74f1793d9...) took
-    # combos_per_s.MA from 3,343 to 6,286 and from 3,368 to 6,182, but
-    # peak_rss_mb rose from 53.66 to 64.93 MB and from 53.98 to 62.16 MB
-    # (x1.21 and x1.15, over that gate's 10% bound): perfbench keeps every
-    # replay pass in memory, and the faster code replayed 46 and 41 passes
-    # instead of 25, close to its MAX_PASSES of 50.  The floor waits for a
-    # benchmark that does not keep them.
+    # for them too.  Passing it (perfbench paper-default, seed 0, one 36 s
+    # run per side on 2 CPUs, same records digest f1625de79a70...) took
+    # combos_per_s.MA from 2,075 to 24,256 and MF from 2,315 to 26,490, but
+    # peak_rss_mb rose from 42.30 to 56.32 MB (x1.33, over that gate's 10%
+    # bound): perfbench keeps every replay pass in memory, and the faster
+    # code replayed 41 passes instead of 5, close to its MAX_PASSES of 50.
+    # The floor waits for a benchmark that does not keep them.
     prune = params.cost_cap is None
     pool = VariablePool(graph, caps, params)
     best_choice = None

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the allocator's code paths: the stationarity
 root comes from plain bisection on the derivative, integer optima from
 exhaustive enumeration, and fractional optima from dynamic programming over
-a fixed 0.01 grid.
+a fixed 0.01 grid.  ``allocator_instance`` and ``relaxed_solution`` are not
+oracles: they let a test run the allocator's stages one at a time.
 """
 
 import math
@@ -11,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from qdnroute.allocation import PerSlotObjectiveParams
+from qdnroute.allocation import PerSlotObjectiveParams, VariablePool, _Instance
 from qdnroute.model import (
     Allocation,
     EdgeSpec,
@@ -20,6 +21,19 @@ from qdnroute.model import (
     verify_feasible,
 )
 from qdnroute.routes import RouteConfig, build_requests
+
+
+def allocator_instance(graph, caps, routes, params, floor=-math.inf):
+    """The instance ``allocate`` builds for ``routes``, from a fresh pool."""
+    return _Instance(routes, VariablePool(graph, caps, params), floor)
+
+
+def relaxed_solution(graph, caps, routes, params):
+    """The relaxed stage alone: the relaxed point by (request, edge) key,
+    and the relaxed objective."""
+    inst = allocator_instance(graph, caps, routes, params)
+    x, objective = inst.solve_relaxed()
+    return dict(zip(inst.keys, x)), objective
 
 
 def random_graph(rng, n, *, p_lo=0.25, p_hi=0.9, w_lo=1, w_hi=6, q_lo=2, q_hi=12):

@@ -15,19 +15,19 @@ import numpy as np
 import pytest
 
 from instances import (
+    allocator_instance,
     chain_grid_optimum,
     integer_optimum,
     pair_grid_optimum,
     random_allocation_instance,
     random_graph,
+    relaxed_solution,
     stationarity_root,
 )
 from qdnroute.allocation import (
     PerSlotObjectiveParams,
     allocate,
     delta_gap,
-    round_allocation,
-    solve_relaxed,
 )
 from qdnroute.cli import main as cli_main
 from qdnroute.controller import theorem1_rhs
@@ -131,9 +131,11 @@ def test_criterion_2_rounding_invariants():
     for i in range(1000):
         g, caps, routes, params = random_allocation_instance(
             rng, with_cost_cap=bool(rng.integers(2)))
-        relaxed = solve_relaxed(g, caps, routes, params)
-        alloc = round_allocation(g, caps, routes, relaxed, params)
-        for key, x in relaxed.values.items():
+        inst = allocator_instance(g, caps, routes, params)
+        relaxed, _ = inst.solve_relaxed()
+        counts = inst.round_down_and_fill(relaxed)
+        alloc = Allocation(dict(zip(inst.keys, counts)))
+        for key, x in zip(inst.keys, relaxed):
             n = alloc.get(*key)
             if n < 1 or x - n > 1.0:
                 violations += 1
@@ -179,9 +181,9 @@ def test_criterion_4_relaxed_solver_accuracy():
         route = Route.from_nodes(g, [0, 1], request_id=0)
         params = PerSlotObjectiveParams(V=float(rng.uniform(0.5, 100.0)),
                                         q=float(rng.uniform(0.0, 5.0)))
-        rel = solve_relaxed(g, caps, [route], params)
+        values, _ = relaxed_solution(g, caps, [route], params)
         root = stationarity_root(p, params.V, params.q, hi=channels)
-        worst_root = max(worst_root, abs(rel.values[(0, 0)] - root))
+        worst_root = max(worst_root, abs(values[(0, 0)] - root))
     single_ok = worst_root <= 1e-5
 
     worst_rel = 0.0
@@ -200,7 +202,7 @@ def test_criterion_4_relaxed_solver_accuracy():
             if min(w, qcap) < 2:
                 continue
             oracle = pair_grid_optimum(g, caps, routes, params)
-            rel = solve_relaxed(g, caps, routes, params)
+            _, objective = relaxed_solution(g, caps, routes, params)
         else:
             g = random_graph(rng, int(rng.integers(5, 9)), w_hi=6, q_lo=2, q_hi=8)
             caps = SlotCapacities.from_graph(g)
@@ -216,8 +218,8 @@ def test_criterion_4_relaxed_solver_accuracy():
                 continue
             route = Route.from_nodes(g, nodes, request_id=0)
             oracle = chain_grid_optimum(g, caps, route, params)
-            rel = solve_relaxed(g, caps, [route], params)
-        worst_rel = max(worst_rel, abs(rel.objective - oracle) / max(1.0, abs(oracle)))
+            _, objective = relaxed_solution(g, caps, [route], params)
+        worst_rel = max(worst_rel, abs(objective - oracle) / max(1.0, abs(oracle)))
         done += 1
     multi_ok = worst_rel <= 1e-4
     report(4, single_ok and multi_ok,

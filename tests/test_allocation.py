@@ -15,7 +15,7 @@ Core claims:
       price never increases the returned cost
     - the one-pass projection returns exactly what repeated passes until
       none changes anything return, and leaves every constraint within cap
-    - allocate() and solve_relaxed() outputs on a fixed instance set match
+    - allocate() and relaxed-stage outputs on a fixed instance set match
       recorded digests bit for bit
     - allocate(floor=...) either returns exactly what allocate() returns or
       raises DominatedError with a bound that is at least the objective and
@@ -32,6 +32,9 @@ Core claims:
       without a pool does, floor or no floor, bound for bound; slot
       capacities that do not fit the graph, or are negative on a route,
       are rejected
+    - bad objective weights, unbound routes and routes that repeat an edge
+      are rejected with a message; a route over a slot capacity of 0 is
+      infeasible at q = 0 as at q > 0, before any floor cut
 """
 
 import hashlib
@@ -47,6 +50,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from instances import (
+    allocator_instance,
     chain_grid_optimum,
     instance_variables,
     integer_optimum,
@@ -54,6 +58,7 @@ from instances import (
     random_allocation_instance,
     random_graph,
     random_infeasible_instance,
+    relaxed_solution,
     stationarity_root,
 )
 from qdnroute import allocation
@@ -62,14 +67,11 @@ from qdnroute.allocation import (
     InfeasibleSelectionError,
     NoConvergenceError,
     PerSlotObjectiveParams,
-    RelaxedSolution,
     VariablePool,
     _Instance,
     allocate,
     delta_gap,
     per_slot_objective,
-    round_allocation,
-    solve_relaxed,
 )
 from qdnroute.harness import default_config
 from qdnroute.model import (
@@ -89,6 +91,43 @@ def single_edge_setup(p_e=0.5, channels=10, qubits=20):
     caps = SlotCapacities.from_graph(g)
     route = Route.from_nodes(g, [0, 1], request_id=0)
     return g, caps, route
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda g: PerSlotObjectiveParams(V=0.0), "V must be positive"),
+        (lambda g: PerSlotObjectiveParams(V=-1.0), "V must be positive"),
+        (lambda g: PerSlotObjectiveParams(V=1.0, q=-0.5), "q must be >= 0"),
+        (lambda g: PerSlotObjectiveParams(V=1.0, cost_cap=-1), "cost_cap must be >= 0"),
+        (lambda g: allocate(g, SlotCapacities.from_graph(g), [Route.from_nodes(g, [0, 1])],
+                            PerSlotObjectiveParams(V=1.0)),
+         "routes must be bound to a request id"),
+        (lambda g: allocate(g, SlotCapacities.from_graph(g), [Route(0, (0, 0), (0, 1, 0))],
+                            PerSlotObjectiveParams(V=1.0)),
+         r"duplicate \(request, edge\) variable; one route per request"),
+    ], ids=["V=0", "V<0", "q<0", "cost_cap<0", "unbound route", "repeated edge"])
+    def test_rejected_with_message(self, build, message):
+        g = QdnGraph((20, 20), (EdgeSpec(0, 1, 10, 0.5, 1),))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(g)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    @pytest.mark.parametrize("q_caps, w_caps, eid", [
+        ((20, 20, 20), (10, 0), 1),
+        ((20, 0, 20), (10, 10), 0),
+    ])
+    def test_zero_capacity_on_route_is_infeasible(self, q, q_caps, w_caps, eid):
+        # At q = 0 the box maximizer of a variable whose box is 0 is 0, whose
+        # log-success is undefined; the route is infeasible whatever q is,
+        # and says so before any floor cut.
+        g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))
+        route = Route.from_nodes(g, [0, 1, 2], request_id=0)
+        caps = SlotCapacities(q_caps, w_caps)
+        params = PerSlotObjectiveParams(V=1.0, q=q)
+        message = f"^edge {eid}: 1 channel exceeds its slot box of 0$"
+        for floor in (-math.inf, 1e6):
+            with pytest.raises(InfeasibleSelectionError, match=message):
+                allocate(g, caps, [route], params, floor=floor)
 
 
 class TestPerSlotObjective:
@@ -137,23 +176,23 @@ class TestSolveRelaxedSingleVariable:
         # 40-digit root frozen below
         g, caps, route = single_edge_setup(p_e=0.5)
         params = PerSlotObjectiveParams(V=1.0, q=0.1)
-        rel = solve_relaxed(g, caps, [route], params)
+        values, _ = relaxed_solution(g, caps, [route], params)
         root = stationarity_root(0.5, 1.0, 0.1, hi=10)
-        assert rel.values[(0, 0)] == approx(root, abs=1e-6)
-        assert rel.values[(0, 0)] == approx(2.9875886048467517, abs=1e-6)
+        assert values[(0, 0)] == approx(root, abs=1e-6)
+        assert values[(0, 0)] == approx(2.9875886048467517, abs=1e-6)
 
     def test_all_ones_when_price_dominates(self):
         g, caps, route = single_edge_setup(p_e=0.5)
         # V(ln P(2) - ln P(1)) = ln(1.5) ~ 0.405 < q
         params = PerSlotObjectiveParams(V=1.0, q=5.0)
-        rel = solve_relaxed(g, caps, [route], params)
-        assert rel.values[(0, 0)] == approx(1.0, abs=1e-9)
+        values, _ = relaxed_solution(g, caps, [route], params)
+        assert values[(0, 0)] == approx(1.0, abs=1e-9)
 
     def test_saturates_cap_at_zero_price(self):
         g, caps, route = single_edge_setup(p_e=0.5, channels=7)
         params = PerSlotObjectiveParams(V=1.0, q=0.0)
-        rel = solve_relaxed(g, caps, [route], params)
-        assert rel.values[(0, 0)] == approx(7.0, abs=1e-9)
+        values, _ = relaxed_solution(g, caps, [route], params)
+        assert values[(0, 0)] == approx(7.0, abs=1e-9)
 
     def test_random_instances_match_bisection(self):
         rng = np.random.default_rng(17)
@@ -163,9 +202,9 @@ class TestSolveRelaxedSingleVariable:
             g, caps, route = single_edge_setup(p_e=p, channels=channels)
             params = PerSlotObjectiveParams(
                 V=float(rng.uniform(0.5, 100.0)), q=float(rng.uniform(0.0, 5.0)))
-            rel = solve_relaxed(g, caps, [route], params)
+            values, _ = relaxed_solution(g, caps, [route], params)
             root = stationarity_root(p, params.V, params.q, hi=channels)
-            assert rel.values[(0, 0)] == approx(root, abs=1e-5)
+            assert values[(0, 0)] == approx(root, abs=1e-5)
 
 
 class TestSolveRelaxedMultiVariable:
@@ -189,9 +228,9 @@ class TestSolveRelaxedMultiVariable:
             route = Route.from_nodes(g, nodes, request_id=0)
             params = PerSlotObjectiveParams(
                 V=float(rng.uniform(10.0, 40.0)), q=float(rng.uniform(0.2, 2.0)))
-            rel = solve_relaxed(g, caps, [route], params)
+            _, objective = relaxed_solution(g, caps, [route], params)
             oracle = chain_grid_optimum(g, caps, route, params)
-            assert abs(rel.objective - oracle) <= 1e-4 * max(1.0, abs(oracle))
+            assert abs(objective - oracle) <= 1e-4 * max(1.0, abs(oracle))
             done += 1
 
     def test_two_requests_sharing_an_edge(self):
@@ -208,21 +247,21 @@ class TestSolveRelaxedMultiVariable:
                 continue
             params = PerSlotObjectiveParams(
                 V=float(rng.uniform(10.0, 40.0)), q=float(rng.uniform(0.2, 2.0)))
-            rel = solve_relaxed(g, caps, routes, params)
+            _, objective = relaxed_solution(g, caps, routes, params)
             oracle = pair_grid_optimum(g, caps, routes, params)
-            assert abs(rel.objective - oracle) <= 1e-4 * max(1.0, abs(oracle))
+            assert abs(objective - oracle) <= 1e-4 * max(1.0, abs(oracle))
 
     def test_relaxed_point_is_feasible(self):
         rng = np.random.default_rng(37)
         for _ in range(100):
             g, caps, routes, params = random_allocation_instance(rng)
-            rel = solve_relaxed(g, caps, routes, params)
+            values, _ = relaxed_solution(g, caps, routes, params)
             keys, _, boxes = instance_variables(g, caps, routes, params)
             node_load = {}
             edge_load = {}
             for route in routes:
                 for eid in route.edges:
-                    x = rel.values[(route.request_id, eid)]
+                    x = values[(route.request_id, eid)]
                     assert 1.0 - 1e-9 <= x <= boxes[(route.request_id, eid)] + 1e-9
                     e = g.edges[eid]
                     node_load[e.u] = node_load.get(e.u, 0.0) + x
@@ -234,29 +273,32 @@ class TestSolveRelaxedMultiVariable:
                 assert load <= caps.w_caps[eid] + 1e-7
 
 
-class TestRounding:
-    def _relaxed(self, values):
-        return RelaxedSolution(dict(values), objective=0.0)
+def round_relaxed(g, caps, routes, params, values):
+    """The rounding stage alone, on a relaxed point given by key."""
+    inst = allocator_instance(g, caps, routes, params)
+    counts = inst.round_down_and_fill([values[key] for key in inst.keys])
+    return Allocation(dict(zip(inst.keys, counts)))
 
+
+class TestRounding:
     def test_floor_when_price_kills_gains(self):
         g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))
         caps = SlotCapacities.from_graph(g)
         route = Route.from_nodes(g, [0, 1, 2], request_id=0)
         params = PerSlotObjectiveParams(V=1.0, q=100.0)
-        rel = self._relaxed({(0, 0): 2.7, (0, 1): 1.2})
-        alloc = round_allocation(g, caps, [route], rel, params)
+        alloc = round_relaxed(g, caps, [route], params, {(0, 0): 2.7, (0, 1): 1.2})
         assert alloc.get(0, 0) == 2 and alloc.get(0, 1) == 1
 
     def test_integral_point_unchanged(self):
         g, caps, route = single_edge_setup()
         params = PerSlotObjectiveParams(V=1.0, q=100.0)
-        alloc = round_allocation(g, caps, [route], self._relaxed({(0, 0): 2.0}), params)
+        alloc = round_relaxed(g, caps, [route], params, {(0, 0): 2.0})
         assert alloc.get(0, 0) == 2
 
     def test_surplus_fills_to_cap_at_zero_price(self):
         g, caps, route = single_edge_setup(p_e=0.5, channels=3)
         params = PerSlotObjectiveParams(V=1.0, q=0.0)
-        alloc = round_allocation(g, caps, [route], self._relaxed({(0, 0): 1.9}), params)
+        alloc = round_relaxed(g, caps, [route], params, {(0, 0): 1.9})
         assert alloc.get(0, 0) == 3
 
     def test_rounding_invariants_random(self):
@@ -264,9 +306,11 @@ class TestRounding:
         for _ in range(300):
             g, caps, routes, params = random_allocation_instance(
                 rng, with_cost_cap=bool(rng.integers(2)))
-            rel = solve_relaxed(g, caps, routes, params)
-            alloc = round_allocation(g, caps, routes, rel, params)
-            for key, x in rel.values.items():
+            inst = allocator_instance(g, caps, routes, params)
+            x_relaxed, _ = inst.solve_relaxed()
+            counts = inst.round_down_and_fill(x_relaxed)
+            alloc = Allocation(dict(zip(inst.keys, counts)))
+            for key, x in zip(inst.keys, x_relaxed):
                 n = alloc.get(*key)
                 assert n >= 1
                 assert x - n <= 1.0 + 1e-9
@@ -282,11 +326,10 @@ class TestRounding:
         params = PerSlotObjectiveParams(V=1.0, q=0.0)
         # floors to 2 + 2 channels on an edge that holds 3
         with pytest.raises(NoConvergenceError):
-            round_allocation(g, caps, routes,
-                             self._relaxed({(0, 0): 2.0, (1, 0): 2.5}), params)
+            round_relaxed(g, caps, routes, params, {(0, 0): 2.0, (1, 0): 2.5})
         # floors above the variable's own box
         with pytest.raises(NoConvergenceError):
-            round_allocation(g, caps, routes[:1], self._relaxed({(0, 0): 4.5}), params)
+            round_relaxed(g, caps, routes[:1], params, {(0, 0): 4.5})
 
     def test_failed_projection_is_not_returned(self, monkeypatch):
         # A projection that gives up leaves every variable at its box; the
@@ -327,7 +370,7 @@ class TestProjection:
            top_share=st.floats(0.0, 1.0))
     def test_one_pass_matches_repeated_passes(self, seed, capped, top_share):
         rng = np.random.default_rng(seed)
-        inst = _Instance(*random_allocation_instance(rng, with_cost_cap=capped))
+        inst = allocator_instance(*random_allocation_instance(rng, with_cost_cap=capped))
         # Points inside the boxes [1, hi], a share of them at the top.
         x = [h if rng.random() < top_share else float(rng.uniform(1.0, h))
              for h in inst.hi]
@@ -346,7 +389,7 @@ def _overloaded_instances(seed, count):
     found = 0
     while found < count:
         args = random_allocation_instance(rng, with_cost_cap=bool(found % 2))
-        inst = _Instance(*args)
+        inst = allocator_instance(*args)
         if any(sum(inst.x0[i] for i in m) > cap for m, cap in inst.constraints):
             found += 1
             yield args
@@ -359,13 +402,13 @@ class TestFallbackExits:
         # are those of the multiplier it adopts.
         monkeypatch.setattr(allocation, "_NEWTON_STEPS", 1)
         for args in _overloaded_instances(83, 40):
-            inst = _Instance(*args)
+            inst = allocator_instance(*args)
             n = len(inst.keys)
             theta = [inst.q] * n
             for members, cap in inst.constraints:
                 trial_x, trial_slope = [0.0] * n, [0.0] * n
-                nu = inst._newton(members, cap, theta, 0.0, inst.x0, inst.slope0,
-                                  trial_x, trial_slope)
+                nu = inst._meet_cap(members, cap, theta, 0.0, inst.x0, inst.slope0,
+                                    trial_x, trial_slope)
                 want_x, want_slope = [0.0] * n, [0.0] * n
                 inst._load(members, theta, nu, want_x, want_slope)
                 assert trial_x == want_x and trial_slope == want_slope
@@ -376,7 +419,7 @@ class TestFallbackExits:
         # multiplier as the only way out.
         expected = {}
         for k, args in enumerate(_overloaded_instances(89, 40)):
-            expected[k] = _Instance(*args).solve_relaxed()[1]
+            expected[k] = allocator_instance(*args).solve_relaxed()[1]
         monkeypatch.setattr(allocation, "_GAP_TOL", -math.inf)
         project = _Instance._project
         points = []
@@ -388,7 +431,7 @@ class TestFallbackExits:
 
         monkeypatch.setattr(_Instance, "_project", recording_project)
         for k, args in enumerate(_overloaded_instances(89, 40)):
-            inst = _Instance(*args)
+            inst = allocator_instance(*args)
             points.clear()
             x, f = inst.solve_relaxed()
             values = [inst._value(p, p)[0] for p in points]
@@ -401,7 +444,7 @@ class TestFallbackExits:
     def test_update_cap_ends_a_sweep_midway(self, monkeypatch):
         # All three constraints of this instance start over their caps, so
         # without the mid-sweep exit the first sweep would price all three.
-        inst = _Instance(*random_allocation_instance(np.random.default_rng(2)))
+        inst = allocator_instance(*random_allocation_instance(np.random.default_rng(2)))
         assert [sum(inst.x0[i] for i in m) > cap for m, cap in inst.constraints] == [True] * 3
         monkeypatch.setattr(allocation, "_MAX_MULTIPLIER_UPDATES", 1)
         with pytest.raises(NoConvergenceError, match="after 1 multiplier updates"):
@@ -468,7 +511,7 @@ class TestAllocate:
                 prev_cost = alloc.cost
 
 
-# SHA-256 of every allocate() output, and of every solve_relaxed() output,
+# SHA-256 of every allocate() output, and of every relaxed-stage output,
 # on the instance set below.  A change that moves any output bit (an
 # allocation entry, a relaxed value, or an objective's last ulp) changes
 # one; update it only for a change that alters allocator outputs on purpose.
@@ -528,9 +571,9 @@ def test_outputs_pinned():
 
 def test_relaxed_pinned():
     def render(*instance):
-        rel = solve_relaxed(*instance)
-        values = ",".join(v.hex() for _, v in sorted(rel.values.items()))
-        return f"{values}:{rel.objective.hex()}"
+        values, objective = relaxed_solution(*instance)
+        values = ",".join(v.hex() for _, v in sorted(values.items()))
+        return f"{values}:{objective.hex()}"
 
     assert _pinned_digest(render) == PINNED_RELAXED_SHA256
 
@@ -603,7 +646,7 @@ class TestFloor:
         for k in range(100):
             g, caps, routes, params = random_allocation_instance(
                 rng, with_cost_cap=bool(k % 2))
-            relaxed = solve_relaxed(g, caps, routes, params).objective
+            relaxed = relaxed_solution(g, caps, routes, params)[1]
             for floor in (relaxed + 1e-3 * (1.0 + abs(relaxed)), relaxed + 1e6):
                 with pytest.raises(DominatedError) as info:
                     allocate(g, caps, routes, params, floor=floor)
@@ -626,9 +669,9 @@ class TestFloor:
         unbudgeted = allocate(g, caps, [route], PerSlotObjectiveParams(V=1.0, q=0.0))[1]
         floor = 0.5 * (f + unbudgeted)
         with pytest.raises(DominatedError) as info:
-            _Instance(g, caps, [route], params, floor)
+            allocator_instance(g, caps, [route], params, floor)
         assert f - _margin(f) <= info.value.bound < floor
-        inst = _Instance(g, caps, [route], params, unbudgeted - 1.0)
+        inst = allocator_instance(g, caps, [route], params, unbudgeted - 1.0)
         monkeypatch.setattr(allocation, "_MAX_MULTIPLIER_UPDATES", 0)
         with pytest.raises(NoConvergenceError):
             inst.solve_relaxed()

@@ -9,6 +9,10 @@ Core claims:
       allocation, and at low temperature finds the exhaustive optimum on
       enumerable instances
     - the auto selector dispatches on the product-space size
+    - a zero sampler temperature, an empty request list and a request with
+      no candidate are rejected with a message; a zero acceptance draw
+      rejects at no floor; a route over a slot capacity of 0 scores as
+      infeasible at zero price, so the search picks another
     - a combination whose allocation solve fails to converge scores as
       infeasible in both searchers instead of aborting the search
     - Gibbs search that rejects proposals by the allocator's certified
@@ -16,8 +20,9 @@ Core claims:
     - exhaustive search that cuts combinations at the incumbent returns
       exactly what it returns when every combination is solved, ties
       included; capped objectives pass no floor
-    - capped or uncapped, the Lagrangian at any solved combination's node
-      and edge multipliers bounds every combination's relaxed optimum
+    - capped or uncapped, the Lagrangian at any solved combination's node,
+      edge and budget multipliers bounds every combination's relaxed
+      optimum, and some capped incumbents' kept tables price the budget
     - exhaustive OSCAR over the default config's first slots makes one
       allocate call per combination, and cuts, couples and solves pinned
       counts of them
@@ -37,7 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from instances import random_allocation_instance
+from instances import random_allocation_instance, relaxed_solution
 from qdnroute import allocation, selection
 from qdnroute.allocation import (
     DominatedError,
@@ -46,7 +51,6 @@ from qdnroute.allocation import (
     PerSlotObjectiveParams,
     VariablePool,
     allocate,
-    solve_relaxed,
 )
 from qdnroute.controller import POLICIES, ControllerState, run_slot
 from qdnroute.harness import default_config
@@ -257,6 +261,36 @@ class TestAutoSelect:
         assert alloc is not None
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, caps, reqs, params: GibbsParams(gamma=0.0), "gamma must be positive"),
+        (lambda g, caps, reqs, params: select_routes(g, caps, [], params),
+         "no requests to select routes for"),
+        (lambda g, caps, reqs, params: select_routes(
+            g, caps, reqs + [SdRequest(1, 0, 2, ())], params),
+         "every request needs at least one candidate route"),
+    ], ids=["gamma=0", "no request", "no candidate"])
+    def test_rejected_with_message(self, call, message):
+        g, caps, reqs = two_route_request()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(g, caps, reqs, PerSlotObjectiveParams(V=1.0))
+
+    def test_zero_draw_rejects_nothing(self):
+        assert selection._rejection_floor(0.0, 1.0, 500.0) == -math.inf
+
+    def test_zero_capacity_route_avoided_at_zero_price(self):
+        # The direct route is the better one at full capacity, but its edge
+        # has no channel in this slot: the search scores it infeasible and
+        # picks the detour.
+        g, caps, reqs = two_route_request()
+        params = PerSlotObjectiveParams(V=1.0, q=0.0)
+        assert exhaustive_select(g, caps, reqs, params)[0] == {0: 0}
+        empty = SlotCapacities(caps.q_caps, (0,) + caps.w_caps[1:])
+        sel, alloc, _ = exhaustive_select(g, empty, reqs, params)
+        assert sel == {0: 1}
+        assert verify_feasible(g, empty, [reqs[0].candidates[1]], alloc).ok
+
+
 def fail_on(monkeypatch, bad_routes):
     """Make the selectors' allocator raise NoConvergenceError on one combination."""
     bad = [r.edges for r in bad_routes]
@@ -459,37 +493,61 @@ class TestIncumbentFloor:
         assert len(cut) > 100
 
 
+def kept_tables(g, caps, reqs, params):
+    """Keep each solved combination's final multipliers in the pool, in
+    turn, as a search keeps its incumbent's; check that the pool's bound
+    then lies above every combination's relaxed optimum, and return the
+    sites of each kept table."""
+    combos = [[r.candidates[c] for r, c in zip(reqs, choice)]
+              for choice in product(*(range(len(r.candidates)) for r in reqs))]
+    optima = []
+    for routes in combos:
+        try:
+            optima.append(relaxed_solution(g, caps, routes, params)[1])
+        except (InfeasibleSelectionError, NoConvergenceError):
+            optima.append(None)
+    pool = VariablePool(g, caps, params)
+    kept = []
+    for incumbent, f in zip(combos, optima):
+        if f is None:
+            continue
+        allocate(g, caps, incumbent, params, pool=pool)
+        pool.keep_multipliers()
+        for routes, opt in zip(combos, optima):
+            if opt is not None:
+                bound = pool.lagrangian_bound([pool.block(r) for r in routes])
+                assert bound >= opt - 1e-9 * (1.0 + abs(opt))
+        kept.append(set(pool._table[0]) if pool._table else set())
+    return kept
+
+
 class TestMultiplierTable:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans(),
            duplicate=st.booleans())
     def test_bound_holds_and_search_is_exact(self, seed, capped, free, duplicate):
-        # Capped and uncapped, at q = 0 and q > 0: the node and edge
+        # Capped and uncapped, at q = 0 and q > 0: the node, edge and budget
         # multipliers of any solved combination, taken as the incumbent's,
-        # bound every combination's relaxed optimum (under a budget too, at a
-        # zero budget multiplier), and the search that cuts by them is exact.
+        # bound every combination's relaxed optimum, and the search that
+        # cuts by them is exact.
         g, caps, reqs, params = floor_instance(np.random.default_rng(seed), capped,
                                                free, duplicate)
-        combos = [[r.candidates[c] for r, c in zip(reqs, choice)]
-                  for choice in product(*(range(len(r.candidates)) for r in reqs))]
-        optima = []
-        for routes in combos:
-            try:
-                optima.append(solve_relaxed(g, caps, routes, params).objective)
-            except (InfeasibleSelectionError, NoConvergenceError):
-                optima.append(None)
-        pool = VariablePool(g, caps, params)
-        for incumbent, f in zip(combos, optima):
-            if f is None:
-                continue
-            allocate(g, caps, incumbent, params, pool=pool)
-            pool.keep_multipliers()
-            for routes, opt in zip(combos, optima):
-                if opt is not None:
-                    bound = pool.lagrangian_bound([pool.block(r) for r in routes])
-                    assert bound >= opt - 1e-9 * (1.0 + abs(opt))
+        kept_tables(g, caps, reqs, params)
         want = exhaustive_outcome(g, caps, reqs, params, unfloored)
         assert exhaustive_outcome(g, caps, reqs, params, allocate) == want
+
+    def test_kept_table_holds_the_budget_multiplier(self):
+        # Over fixed capped instances, some incumbents' solves price the
+        # budget, so their kept tables hold the site (2, 0); the bound with
+        # its multiplier still holds (checked by kept_tables).
+        tables = budget = 0
+        for seed in range(300):
+            g, caps, reqs, params = floor_instance(np.random.default_rng(seed), True,
+                                                   seed % 2 == 0, False)
+            for sites in kept_tables(g, caps, reqs, params):
+                tables += 1
+                budget += (2, 0) in sites
+        assert tables > 1000 and budget > 300
 
 
 # SHA-256 of every slot, and of every Gibbs allocator call, of the tests
@@ -581,9 +639,9 @@ def test_exhaustive_work_pinned(monkeypatch):
 
     couple = allocation._Instance._couple
 
-    def coupling(self, caps):
+    def coupling(self, caps, cost_cap):
         work["coupled"] += 1
-        return couple(self, caps)
+        return couple(self, caps, cost_cap)
 
     monkeypatch.setattr(selection, "exhaustive_select", searching)
     monkeypatch.setattr(selection, "allocate", counting)
