@@ -19,10 +19,11 @@ combinations.  Every instance joins its routes' blocks from a pool, which
 
 Capped or uncapped, a call with a floor first bounds its relaxed
 optimum from per-block parts: the Lagrangian at zero multipliers, or the
-smaller of that and the Lagrangian at the multipliers that a search kept
-in the pool from its incumbent's solve (by weak duality, each bounds
-every combination).  A combination whose bound lies below the floor is
-cut before its blocks are joined.
+smaller of that and the Lagrangian at the node, edge and budget
+multipliers that a search kept in the pool from its best solve so far (by
+weak duality, each bounds every combination).  A combination whose bound
+lies below the floor is cut before its blocks are joined; this is the one
+bound checked before the dual solve, whose sweeps then check their own.
 """
 
 from __future__ import annotations
@@ -341,14 +342,11 @@ class _Instance(_Variables):
     boxes are dropped.  ``nu`` holds their multipliers once
     ``solve_relaxed`` has run.
 
-    With a ``floor``, an instance whose relaxed optimum is certified to lie
-    below it raises DominatedError before its coupling constraints are
-    built or checked.  Capped or uncapped, the pool's
-    ``lagrangian_bound`` is checked first, before the blocks are joined: a
-    cut combination never builds its per-variable arrays.  Under a budget,
-    ``_budget_bound`` is checked once the arrays are joined and their
-    all-ones cost fits it.  The pool also shares ``_meet_cap``'s pricings
-    from zero multipliers.
+    With a ``floor``, capped or uncapped, an instance whose bound from the
+    pool's ``lagrangian_bound`` lies below it raises DominatedError before
+    the blocks are joined: a cut combination never builds its per-variable
+    arrays or its coupling constraints.  The pool also shares
+    ``_meet_cap``'s pricings from zero multipliers.
     """
 
     __slots__ = ("constraints", "sites", "nu", "floor", "pricings")
@@ -382,15 +380,10 @@ class _Instance(_Variables):
             self.slope0 += b.slope0
 
         cost_cap = pool.params.cost_cap
-        if cost_cap is not None:
-            if len(self.keys) > cost_cap:
-                raise InfeasibleSelectionError(
-                    f"all-ones cost {len(self.keys)} exceeds slot budget {cost_cap}"
-                )
-            if floor > -math.inf:
-                bound = self._budget_bound(cost_cap)
-                if bound < floor:
-                    raise DominatedError(bound)
+        if cost_cap is not None and len(self.keys) > cost_cap:
+            raise InfeasibleSelectionError(
+                f"all-ones cost {len(self.keys)} exceeds slot budget {cost_cap}"
+            )
         self._couple(pool.caps, cost_cap)
         pool.last = self
 
@@ -520,22 +513,6 @@ class _Instance(_Variables):
             self.pricings[key] = (guess, [trial_x[i] for i in members],
                                   [trial_slope[i] for i in members])
         return guess
-
-    def _budget_bound(self, cost_cap: int) -> float:
-        """Upper bound on the relaxed optimum from the budget alone: the
-        budget-only Lagrangian at the price where the box maximizers' total
-        meets ``cost_cap``, or +inf when their total fits it."""
-        x, slope = self.x0, self.slope0
-        if sum(x) <= cost_cap:
-            return math.inf
-        n = len(self.keys)
-        theta = [self.q] * n
-        # Some member sits above 1 (the all-ones cost fits), so the bracket's
-        # top exceeds 1 and every guess lies strictly inside (0, top):
-        # lam > 0, and the trial values are those at lam.
-        trial_x, trial_slope = [0.0] * n, [0.0] * n
-        lam = self._meet_cap(range(n), cost_cap, theta, 0.0, x, slope, trial_x, trial_slope)
-        return self._value(trial_x, theta)[1] - lam * (sum(trial_x) - cost_cap)
 
     def solve_relaxed(self) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
@@ -690,11 +667,10 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     certified upper bound on the relaxed optimum (and so on the returned
     objective) falls below ``floor``; a call that is not cut returns what
     it would without one.  An edge whose box holds no channel raises
-    InfeasibleSelectionError before any cut.  The other first bounds need
-    only the routes' variables and the budget, so with a floor a selection
-    whose bound is below it raises DominatedError even when its node or
-    edge capacities would make it infeasible; the bound from the routes'
-    blocks also wins over the all-ones budget check.
+    InfeasibleSelectionError before any cut.  The first bound needs only
+    the routes' blocks, so with a floor a selection whose bound is below
+    it raises DominatedError even when its node or edge capacities or the
+    all-ones budget check would make it infeasible.
 
     A ``pool`` built for the same graph, capacities and objective lets the
     calls of one route search share the routes' variable blocks; a call

@@ -22,7 +22,9 @@ Core claims:
       below the floor; on a selection that breaks a node or edge capacity
       it raises InfeasibleSelectionError, or DominatedError with a bound
       below the floor before the capacities or the all-ones budget are
-      checked; the error's message names its bound and survives pickling
+      checked; the error's message names its bound and survives pickling;
+      a pool whose kept table prices the budget cuts before the join a call
+      that a fresh pool's zero-multiplier bound leaves to the dual solve
     - when the safeguarded Newton search runs out of steps, the trial
       values it leaves are those at the multiplier it returns; a solve
       that ends on a sweep moving no multiplier returns the best projected
@@ -659,22 +661,36 @@ class TestFloor:
         again = pickle.loads(pickle.dumps(exc))
         assert (again.bound, str(again)) == (exc.bound, str(exc))
 
-    def test_budget_lagrangian_tightens_initial_bound(self, monkeypatch):
-        # At zero price the box maximizer sits at its cap of 10 channels,
-        # far above the budget of 1; no multiplier update is allowed, so
-        # only the pre-loop bound can cut.
+    @staticmethod
+    def budget_squeeze():
+        # At zero price the box maximizer sits at its cap of 10 channels, far
+        # above the budget of 1, so the zero-multiplier bound is loose; the
+        # floor lies halfway between the objective with and without the
+        # budget.
         g, caps, route = single_edge_setup(p_e=0.5, channels=10)
         params = PerSlotObjectiveParams(V=1.0, q=0.0, cost_cap=1)
         f = allocate(g, caps, [route], params)[1]
         unbudgeted = allocate(g, caps, [route], PerSlotObjectiveParams(V=1.0, q=0.0))[1]
-        floor = 0.5 * (f + unbudgeted)
+        return g, caps, route, params, f, 0.5 * (f + unbudgeted)
+
+    def test_kept_budget_multiplier_cuts_before_join(self):
+        g, caps, route, params, f, floor = self.budget_squeeze()
+        pool = VariablePool(g, caps, params)
+        allocate(g, caps, [route], params, pool=pool)
+        pool.keep_multipliers()
+        assert set(pool._table[0]) == {(2, 0)}
         with pytest.raises(DominatedError) as info:
-            allocator_instance(g, caps, [route], params, floor)
+            allocation._Instance([route], pool, floor)
         assert f - _margin(f) <= info.value.bound < floor
-        inst = allocator_instance(g, caps, [route], params, unbudgeted - 1.0)
-        monkeypatch.setattr(allocation, "_MAX_MULTIPLIER_UPDATES", 0)
-        with pytest.raises(NoConvergenceError):
+
+    def test_zero_multiplier_bound_leaves_cut_to_dual_solve(self):
+        # A fresh pool keeps no table: the instance is built, and the first
+        # sweep's dual value cuts it.
+        g, caps, route, params, f, floor = self.budget_squeeze()
+        inst = allocator_instance(g, caps, [route], params, floor)
+        with pytest.raises(DominatedError) as info:
             inst.solve_relaxed()
+        assert f - _margin(f) <= info.value.bound < floor
 
 
 def _outcome(call):

@@ -16,7 +16,8 @@ Core claims:
     - a combination whose allocation solve fails to converge scores as
       infeasible in both searchers instead of aborting the search
     - Gibbs search that rejects proposals by the allocator's certified
-      bound returns exactly what it returns when every proposal is solved
+      bound returns exactly what it returns when every proposal is solved,
+      capped or uncapped, at q = 0 and q > 0
     - exhaustive search that cuts combinations at the incumbent returns
       exactly what it returns when every combination is solved, ties
       included; capped objectives pass no floor
@@ -26,6 +27,9 @@ Core claims:
     - exhaustive OSCAR over the default config's first slots makes one
       allocate call per combination, and cuts, couples and solves pinned
       counts of them
+    - each policy's Gibbs search over the default config's first slots
+      makes, cuts, couples and solves pinned counts of allocate calls, and
+      some capped searches keep tables that price the budget
     - Gibbs and exhaustive slots of the default config's trial 0 match
       recorded digests bit for bit, and so does every allocator call the
       Gibbs slots make, with its floor and outcome
@@ -434,6 +438,35 @@ class TestBoundRejection:
             pairs += 1
         assert len(cut) > 100
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans(),
+           duplicate=st.booleans(), log_gamma=st.floats(-1.0, 1.5))
+    def test_same_result_capped_or_free(self, seed, capped, free, duplicate, log_gamma):
+        # Capped at q = 0 is how MA and MF search: every box sits at its cap
+        # at zero price, and only a kept budget multiplier prices it.
+        g, caps, reqs, params = floor_instance(np.random.default_rng(seed), capped,
+                                               free, duplicate)
+        gibbs_params = GibbsParams(gamma=10.0 ** log_gamma, seed=seed)
+        got, trace = gibbs_outcome(g, caps, reqs, params, gibbs_params, allocate)
+        want, ref_trace = gibbs_outcome(g, caps, reqs, params, gibbs_params, unfloored)
+        assert got == want
+        assert len(trace) == len(ref_trace)
+        for entry, ref in zip(trace, ref_trace):
+            assert entry[:3] + entry[4:] == ref[:3] + ref[4:]
+            assert entry[3] is None or entry[3] == ref[3]
+
+
+def gibbs_outcome(g, caps, reqs, params, gibbs_params, allocator):
+    """The Gibbs search's result, as bits, and its trace."""
+    trace = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(selection, "allocate", allocator)
+        try:
+            sel, alloc, f = gibbs_select(g, caps, reqs, params, gibbs_params, trace)
+        except AllInfeasibleError:
+            return None, trace
+    return (sel, sorted(alloc.items()), f.hex()), trace
+
 
 def floor_instance(rng, capped, free, duplicate):
     """Requests over a random instance; ``free`` zeroes the price, and
@@ -555,7 +588,7 @@ class TestMultiplierTable:
 # the calls that find them on purpose.
 PINNED_GIBBS_SHA256 = "1cc65a3ef29950ff1c0aef3890fdbbe772b5269f7294589b0affa2c90d5c98be"
 PINNED_EXHAUSTIVE_SHA256 = "0b6acd8b7e27cfaf1b59bdb3238de53e4fd56b69b9c9bf283913cd634d4fd901"
-PINNED_CALLS_SHA256 = "95413888557fb9d8b71dc289b522af9b475b481443832afdd32f068a000558f7"
+PINNED_CALLS_SHA256 = "c75e82a2c36ad7f645992d78b6abe74fc830d2b8c3dad285934cee8ca54be6ae"
 
 
 def _slots_digest(slots, enumeration_cap, policies=None):
@@ -649,3 +682,51 @@ def test_exhaustive_work_pinned(monkeypatch):
     _slots_digest(10, selection.DEFAULT_ENUMERATION_CAP, ("OSCAR",))
     assert calls == spaces and sum(calls) == 1092
     assert work == {"cut before coupling": 1030, "coupled": 62, "solved": 34}
+
+
+def test_gibbs_work_pinned(monkeypatch):
+    # Each policy's Gibbs slots of test_gibbs_slots_pinned: its allocate
+    # calls, and how far they get, as in test_exhaustive_work_pinned.  Every
+    # solve that beats its search's best keeps a table, capped ones too, and
+    # some of those price the budget.
+    counts = {}
+    budget_tables = 0
+
+    def counting(graph, caps, routes, params, floor=-math.inf, pool=None):
+        counts["calls"] += 1
+        coupled = counts["coupled"]
+        try:
+            result = allocate(graph, caps, routes, params, floor=floor, pool=pool)
+        except DominatedError:
+            counts["cut before coupling"] += counts["coupled"] == coupled
+            raise
+        counts["solved"] += 1
+        return result
+
+    couple = allocation._Instance._couple
+
+    def coupling(self, caps, cost_cap):
+        counts["coupled"] += 1
+        return couple(self, caps, cost_cap)
+
+    keep = VariablePool.keep_multipliers
+
+    def keeping(self):
+        nonlocal budget_tables
+        keep(self)
+        budget_tables += self._table is not None and (2, 0) in self._table[0]
+
+    monkeypatch.setattr(selection, "allocate", counting)
+    monkeypatch.setattr(allocation._Instance, "_couple", coupling)
+    monkeypatch.setattr(VariablePool, "keep_multipliers", keeping)
+    work = {}
+    for policy in POLICIES:
+        counts.update(dict.fromkeys(("calls", "cut before coupling", "coupled", "solved"), 0))
+        _slots_digest(20, 2, (policy,))
+        work[policy] = dict(counts)
+    assert work == {
+        "OSCAR": {"calls": 1757, "cut before coupling": 511, "coupled": 1246, "solved": 808},
+        "MA": {"calls": 900, "cut before coupling": 399, "coupled": 501, "solved": 365},
+        "MF": {"calls": 1050, "cut before coupling": 448, "coupled": 602, "solved": 415},
+    }
+    assert budget_tables == 99
