@@ -17,13 +17,15 @@ per slot, and keeps the pricings from zero multipliers that recur across
 combinations.  Every instance joins its routes' blocks from a pool, which
 ``allocate`` builds for a call that passes none.
 
-Capped or uncapped, a call with a floor first bounds its relaxed
-optimum from per-block parts: the Lagrangian at zero multipliers, or the
-smaller of that and the Lagrangian at the node, edge and budget
-multipliers that a search kept in the pool from its best solve so far (by
-weak duality, each bounds every combination).  A combination whose bound
-lies below the floor is cut before its blocks are joined; this is the one
-bound checked before the dual solve, whose sweeps then check their own.
+The pool also keeps the node, edge and budget multipliers of its best
+solve so far: ``allocate`` replaces them after each solve whose objective
+beats every earlier one through the pool.  Capped or uncapped, a call with
+a floor first bounds its relaxed optimum from per-block parts: the
+Lagrangian at zero multipliers, or the smaller of that and the Lagrangian
+at the kept multipliers (by weak duality, each bounds every combination).
+A combination whose bound lies below the floor is cut before its blocks
+are joined; this is the one bound checked before the dual solve, whose
+sweeps then check their own.
 """
 
 from __future__ import annotations
@@ -177,6 +179,9 @@ class _Block(_Variables):
         if route.request_id is None:
             raise ValueError("routes must be bound to a request id")
         eids = sorted(route.edges)
+        if not eids or eids[0] < 0 or eids[-1] >= graph.edge_count:
+            raise ValueError(f"route {route.nodes} of request {route.request_id} needs "
+                             f"edges in 0..{graph.edge_count - 1}, got {route.edges}")
         if len(set(eids)) != len(eids):
             raise ValueError("duplicate (request, edge) variable; one route per request")
         V = self.V = params.V
@@ -244,15 +249,15 @@ class VariablePool:
     zero multipliers.
 
     ``lagrangian_bound`` bounds the relaxed optimum of any combination from
-    its blocks alone, by the Lagrangian at zero multipliers and, once
-    ``keep_multipliers`` has kept a table of node, edge and budget
-    multipliers, at the table's too: by weak duality, the Lagrangian at any
-    nonnegative multipliers bounds it, whichever combination they were
-    solved for.  ``last`` is the last instance built up to its coupling
-    constraints, so after ``allocate`` returns it holds that call's solve.
+    its blocks alone, by the Lagrangian at zero multipliers and, once a call
+    has solved through the pool, at the table of node, edge and budget
+    multipliers of the pool's best solve so far: by weak duality, the
+    Lagrangian at any nonnegative multipliers bounds it, whichever
+    combination they were solved for.  ``best`` is that solve's objective,
+    -inf before the first.
     """
 
-    __slots__ = ("graph", "caps", "params", "_blocks", "pricings", "last",
+    __slots__ = ("graph", "caps", "params", "_blocks", "pricings", "best",
                  "_table", "_parts")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
@@ -268,7 +273,7 @@ class VariablePool:
         # (multiplier, members' trial values, members' trial slopes) by the
         # constraint's cap and its members' keys and prices.
         self.pricings: dict[tuple, tuple[float, list[float], list[float]]] = {}
-        self.last: _Instance | None = None
+        self.best = -math.inf
         # The bit and positive multiplier of each priced node (0, u), edge
         # (1, e) and budget (2, 0), and each one's multiplier times its
         # cap, in bit order; None until kept.
@@ -283,15 +288,10 @@ class VariablePool:
                                                      self.params)
         return found
 
-    def keep_multipliers(self) -> None:
-        """Make the positive final multipliers of ``last``'s solve, node,
+    def _keep_multipliers(self, inst: _Instance) -> None:
+        """Make the positive final multipliers of ``inst``'s solve, node,
         edge and budget alike, the table; with none positive the table would
-        repeat the zero-multiplier bound, so there is none.  No call has
-        solved through the pool when ``last`` is None, and the table is left
-        as it is."""
-        inst = self.last
-        if inst is None:
-            return
+        repeat the zero-multiplier bound, so there is none."""
         table: dict[tuple[int, int], tuple[int, float]] = {}
         weights: list[float] = []
         caps_of = (self.caps.q_caps, self.caps.w_caps, (self.params.cost_cap,))
@@ -385,7 +385,6 @@ class _Instance(_Variables):
                 f"all-ones cost {len(self.keys)} exceeds slot budget {cost_cap}"
             )
         self._couple(pool.caps, cost_cap)
-        pool.last = self
 
     def _couple(self, caps: SlotCapacities, cost_cap: int | None) -> None:
         """Node constraints, then edge constraints, then the budget."""
@@ -673,11 +672,12 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     all-ones budget check would make it infeasible.
 
     A ``pool`` built for the same graph, capacities and objective lets the
-    calls of one route search share the routes' variable blocks; a call
-    returns or raises the same with or without it, until the pool keeps
-    multipliers.  Then a call whose bound at them is below ``floor``
-    raises DominatedError with that bound, before its capacities are
-    checked; a call that is not cut still returns the same.
+    calls of one route search share the routes' variable blocks.  A call
+    whose objective beats every earlier one through the pool leaves its
+    final multipliers there; a later call whose bound at them is below
+    ``floor`` raises DominatedError with that bound, before its capacities
+    are checked.  Otherwise a call returns or raises the same with or
+    without a pool.
     """
     if pool is None:
         pool = VariablePool(graph, caps, params)
@@ -686,5 +686,8 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     inst = _Instance(routes, pool, floor)
     x, _ = inst.solve_relaxed()
     counts = inst.round_down_and_fill(x)
-    alloc = Allocation(dict(zip(inst.keys, counts)))
-    return alloc, inst.integer_objective(counts)
+    f = inst.integer_objective(counts)
+    if f > pool.best:
+        pool.best = f
+        pool._keep_multipliers(inst)
+    return Allocation(dict(zip(inst.keys, counts))), f

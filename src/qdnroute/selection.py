@@ -10,12 +10,11 @@ abort a run.  The Gibbs sampler draws each proposal's acceptance variate
 first and rejects a proposal whose certified allocator bound already loses
 at that draw, without finishing its solve; exhaustive search under an
 uncapped objective cuts a combination whose bound loses to its incumbent.
-In both searches, under every objective, a solve whose objective beats the
-search's best so far leaves its multipliers in the pool, so that most
-losing combinations are cut by a bound summed from their routes' blocks.
 Each search builds one ``VariablePool`` and hands it to every allocator
 call, so a candidate route's variables are built, and a recurring
-constraint pricing is solved, once per search.
+constraint pricing is solved, once per search.  The pool keeps the
+multipliers of its best solve so far, so that most losing combinations are
+cut by a bound summed from their routes' blocks.
 """
 
 from __future__ import annotations
@@ -120,17 +119,14 @@ def _space(requests: Sequence[SdRequest]) -> list[int]:
 
 
 def _evaluate(pool: VariablePool, requests: Sequence[SdRequest], choice: tuple[int, ...],
-              best: float, floor: float = -math.inf) -> tuple[Allocation | None, float]:
-    """Allocate ``choice``'s routes through ``pool``; a solve whose
-    objective beats the search's ``best`` leaves its multipliers there."""
+              floor: float = -math.inf) -> tuple[Allocation | None, float]:
+    """Allocate ``choice``'s routes through ``pool``; an infeasible or
+    unconverged combination scores -inf."""
     routes = [req.candidates[c] for req, c in zip(requests, choice)]
     try:
-        alloc, f = allocate(pool.graph, pool.caps, routes, pool.params, floor=floor, pool=pool)
+        return allocate(pool.graph, pool.caps, routes, pool.params, floor=floor, pool=pool)
     except (InfeasibleSelectionError, NoConvergenceError):
         return None, -math.inf
-    if f > best:
-        pool.keep_multipliers()
-    return alloc, f
 
 
 def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
@@ -145,14 +141,13 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
     the first feasible one is handed to ``allocate`` with the incumbent's
     objective, lowered by a relative 1e-9, as its floor; a combination
     whose certified bound falls below it could not beat the incumbent and
-    is cut without a full solve.  Under every objective, each new
-    incumbent's final node, edge and budget multipliers go into the pool
-    (``VariablePool.keep_multipliers``), so a floored combination whose
-    Lagrangian at them is below the floor is cut before its instance is
-    built.  The result is the same as solving every combination, with one
-    ``allocate`` call per combination.  Raises EnumerationCapError when the
-    product space exceeds the cap, and AllInfeasibleError when no
-    combination is feasible.
+    is cut without a full solve.  The search's pool keeps the final node,
+    edge and budget multipliers of its best solve, which is the incumbent,
+    so a floored combination whose Lagrangian at them is below the floor is
+    cut before its instance is built.  The result is the same as solving
+    every combination, with one ``allocate`` call per combination.  Raises
+    EnumerationCapError when the product space exceeds the cap, and
+    AllInfeasibleError when no combination is feasible.
     """
     sizes = _space(requests)
     space = math.prod(sizes)
@@ -177,7 +172,7 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
     floor = -math.inf
     for choice in product(*(range(s) for s in sizes)):
         try:
-            alloc, f = _evaluate(pool, requests, choice, best_f, floor)
+            alloc, f = _evaluate(pool, requests, choice, floor)
         except DominatedError:
             continue  # certified to score below the incumbent
         if alloc is not None and f > best_f:
@@ -210,11 +205,11 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     allocator certifies an upper bound ``B`` on its objective with
     ``u >= gibbs_accept_prob(B + 1e-9*(1+|B|), f_cur, gamma)``, it is
     rejected without a full solve.  The tightest bound per proposal is
-    kept, so a re-proposal may be rejected without a call.  Every solve
-    whose objective beats the best visited so far, initial draws included,
-    leaves its multipliers in the pool, and a later proposal whose
-    Lagrangian at them loses is cut before its instance is built.  The
-    outcome is the same as solving every proposal.  ``trace`` receives
+    kept, so a re-proposal may be rejected without a call.  The search's
+    pool keeps the multipliers of its best solve so far, initial draws
+    included, and a later proposal whose Lagrangian at them loses is cut
+    before its instance is built.  The outcome is the same as solving every
+    proposal.  ``trace`` receives
     ``(iteration, proposal, f_cur, f_new, accepted)`` per proposal, with
     ``f_new = None`` for a proposal rejected by its bound.
     """
@@ -241,17 +236,16 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
             if loses(known, u):
                 return None, None
             try:
-                seen[choice] = _evaluate(pool, requests, choice, best_f,
+                seen[choice] = _evaluate(pool, requests, choice,
                                          _rejection_floor(u, f_cur, gibbs.gamma))
                 return seen[choice]
             except DominatedError as exc:
                 seen[choice] = min(known, exc.bound)
                 if loses(seen[choice], u):
                     return None, None
-        seen[choice] = _evaluate(pool, requests, choice, best_f)
+        seen[choice] = _evaluate(pool, requests, choice)
         return seen[choice]
 
-    best_f = -math.inf  # so that the first feasible draw keeps its multipliers
     for _ in range(_INIT_RETRIES):
         current = tuple(int(rng.integers(s)) for s in sizes)
         best_alloc, f_cur = score(current)

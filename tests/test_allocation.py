@@ -107,7 +107,17 @@ class TestInputChecks:
         (lambda g: allocate(g, SlotCapacities.from_graph(g), [Route(0, (0, 0), (0, 1, 0))],
                             PerSlotObjectiveParams(V=1.0)),
          r"duplicate \(request, edge\) variable; one route per request"),
-    ], ids=["V=0", "V<0", "q<0", "cost_cap<0", "unbound route", "repeated edge"])
+        (lambda g: allocate(g, SlotCapacities.from_graph(g), [Route(0, (), (0,))],
+                            PerSlotObjectiveParams(V=1.0)),
+         r"route \(0,\) of request 0 needs edges in 0..0, got \(\)"),
+        (lambda g: allocate(g, SlotCapacities.from_graph(g), [Route(0, (5,), (0, 1))],
+                            PerSlotObjectiveParams(V=1.0)),
+         r"route \(0, 1\) of request 0 needs edges in 0..0, got \(5,\)"),
+        (lambda g: allocate(g, SlotCapacities.from_graph(g), [Route(0, (-1,), (1, 0))],
+                            PerSlotObjectiveParams(V=1.0)),
+         r"route \(1, 0\) of request 0 needs edges in 0..0, got \(-1,\)"),
+    ], ids=["V=0", "V<0", "q<0", "cost_cap<0", "unbound route", "repeated edge",
+            "no edge", "edge past the graph", "negative edge"])
     def test_rejected_with_message(self, build, message):
         g = QdnGraph((20, 20), (EdgeSpec(0, 1, 10, 0.5, 1),))
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -677,7 +687,6 @@ class TestFloor:
         g, caps, route, params, f, floor = self.budget_squeeze()
         pool = VariablePool(g, caps, params)
         allocate(g, caps, [route], params, pool=pool)
-        pool.keep_multipliers()
         assert set(pool._table[0]) == {(2, 0)}
         with pytest.raises(DominatedError) as info:
             allocation._Instance([route], pool, floor)
@@ -737,7 +746,11 @@ class TestVariablePool:
         mid = fs[len(fs) // 2] if fs else 0.0
         high = fs[-1] + 1.0 + abs(fs[-1]) if fs else 1e6
         # One pool for the whole slot, shared by every call as in a route
-        # search; the routes' order does not matter.
+        # search; the routes' order does not matter.  Without a floor a
+        # pooled call gives the same bits.  With one, the multipliers the
+        # pool kept from its best solve may also cut a call before its join,
+        # by a bound below the floor and, by weak duality, above the relaxed
+        # optimum where there is one.
         pool = VariablePool(g, caps, params)
         for floor in (-math.inf, mid, high):
             for routes, want in zip(combos, plain):
@@ -745,7 +758,39 @@ class TestVariablePool:
                     want = _outcome(lambda: allocate(g, caps, routes, params, floor=floor))
                 got = _outcome(lambda: allocate(g, caps, routes[::-1], params, floor=floor,
                                                 pool=pool))
-                assert got == want
+                if got == want:
+                    continue
+                assert floor > -math.inf and got[0] == "DominatedError"
+                bound = float.fromhex(got[1])
+                assert bound < floor
+                try:
+                    relaxed = relaxed_solution(g, caps, routes, params)[1]
+                except (InfeasibleSelectionError, NoConvergenceError):
+                    continue
+                assert bound >= relaxed - _margin(relaxed)
+
+    def test_keeps_the_multipliers_of_its_best_solve(self):
+        # Over edges 0-1-2 under a budget of 2 channels, every solve prices
+        # the budget; one hop with two channels beats two hops with one.
+        g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))
+        caps = SlotCapacities.from_graph(g)
+        params = PerSlotObjectiveParams(V=1.0, cost_cap=2)
+        long = Route.from_nodes(g, [0, 1, 2], request_id=0)
+        short = Route.from_nodes(g, [0, 1], request_id=0)
+        pool = VariablePool(g, caps, params)
+        assert (pool.best, pool._table) == (-math.inf, None)
+        # A fresh pool's first feasible solve keeps its multipliers.
+        f_long = allocate(g, caps, [long], params, pool=pool)[1]
+        first = pool._table
+        assert pool.best == f_long and set(first[0]) == {(2, 0)}
+        # A better solve replaces them ...
+        f_short = allocate(g, caps, [short], params, pool=pool)[1]
+        assert f_short > f_long
+        assert pool.best == f_short and pool._table is not first
+        # ... and one that does not beat the best leaves them.
+        kept = pool._table
+        assert allocate(g, caps, [long], params, pool=pool)[1] == f_long
+        assert pool.best == f_short and pool._table is kept
 
     def test_mismatched_pool_and_shared_request_rejected(self):
         g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))

@@ -527,10 +527,10 @@ class TestIncumbentFloor:
 
 
 def kept_tables(g, caps, reqs, params):
-    """Keep each solved combination's final multipliers in the pool, in
-    turn, as a search keeps its incumbent's; check that the pool's bound
-    then lies above every combination's relaxed optimum, and return the
-    sites of each kept table."""
+    """Solve each combination first through a fresh pool, which keeps its
+    final multipliers as a search keeps its best solve's; check that the
+    pool's bound then lies above every combination's relaxed optimum, and
+    return the sites of each kept table."""
     combos = [[r.candidates[c] for r, c in zip(reqs, choice)]
               for choice in product(*(range(len(r.candidates)) for r in reqs))]
     optima = []
@@ -539,13 +539,12 @@ def kept_tables(g, caps, reqs, params):
             optima.append(relaxed_solution(g, caps, routes, params)[1])
         except (InfeasibleSelectionError, NoConvergenceError):
             optima.append(None)
-    pool = VariablePool(g, caps, params)
     kept = []
     for incumbent, f in zip(combos, optima):
         if f is None:
             continue
+        pool = VariablePool(g, caps, params)
         allocate(g, caps, incumbent, params, pool=pool)
-        pool.keep_multipliers()
         for routes, opt in zip(combos, optima):
             if opt is not None:
                 bound = pool.lagrangian_bound([pool.block(r) for r in routes])
@@ -687,7 +686,7 @@ def test_exhaustive_work_pinned(monkeypatch):
 def test_gibbs_work_pinned(monkeypatch):
     # Each policy's Gibbs slots of test_gibbs_slots_pinned: its allocate
     # calls, and how far they get, as in test_exhaustive_work_pinned.  Every
-    # solve that beats its search's best keeps a table, capped ones too, and
+    # solve that beats its pool's best keeps a table, capped ones too, and
     # some of those price the budget.
     counts = {}
     budget_tables = 0
@@ -709,16 +708,16 @@ def test_gibbs_work_pinned(monkeypatch):
         counts["coupled"] += 1
         return couple(self, caps, cost_cap)
 
-    keep = VariablePool.keep_multipliers
+    keep = VariablePool._keep_multipliers
 
-    def keeping(self):
+    def keeping(self, inst):
         nonlocal budget_tables
-        keep(self)
+        keep(self, inst)
         budget_tables += self._table is not None and (2, 0) in self._table[0]
 
     monkeypatch.setattr(selection, "allocate", counting)
     monkeypatch.setattr(allocation._Instance, "_couple", coupling)
-    monkeypatch.setattr(VariablePool, "keep_multipliers", keeping)
+    monkeypatch.setattr(VariablePool, "_keep_multipliers", keeping)
     work = {}
     for policy in POLICIES:
         counts.update(dict.fromkeys(("calls", "cut before coupling", "coupled", "solved"), 0))
@@ -729,4 +728,4 @@ def test_gibbs_work_pinned(monkeypatch):
         "MA": {"calls": 900, "cut before coupling": 399, "coupled": 501, "solved": 365},
         "MF": {"calls": 1050, "cut before coupling": 448, "coupled": 602, "solved": 415},
     }
-    assert budget_tables == 99
+    assert budget_tables == 98
