@@ -42,7 +42,6 @@ from .model import (
     Route,
     SlotCapacities,
     check_fields,
-    slot_utility,
 )
 
 _GAP_TOL = 1e-6
@@ -101,15 +100,9 @@ class PerSlotObjectiveParams:
 
 def delta_gap(V: float, F: int, L: int, p_min: float) -> float:
     """Additive bound on the rounding loss: ``V * F * L * ln(2 - p_min)``."""
-    if not 0.0 < p_min < 1.0:
-        raise ValueError(f"p_min must lie in (0, 1), got {p_min}")
+    if not 0.0 < p_min <= 1.0:
+        raise ValueError(f"p_min must lie in (0, 1], got {p_min}")
     return V * F * L * math.log(2.0 - p_min)
-
-
-def per_slot_objective(graph: QdnGraph, routes: Sequence[Route],
-                       alloc: Allocation, params: PerSlotObjectiveParams) -> float:
-    """Drift-plus-penalty objective ``V * utility - q * cost``."""
-    return params.V * slot_utility(graph, routes, alloc) - params.q * alloc.cost
 
 
 class _Variables:
@@ -154,21 +147,27 @@ class _Variables:
             load += xi
         return load, total
 
-    def _lagrangian(self, x: Sequence[float], theta: Sequence[float]) -> float:
-        """The per-variable part of the Lagrangian at prices ``theta``: the
-        sum of ``V*ln(1-a^x) - th*x`` over the variables, in order."""
-        V, log, expm1 = self.V, math.log, math.expm1
-        total = 0.0
-        for xi, lna, th in zip(x, self.lna, theta):
-            total += V * log(-expm1(xi * lna)) - th * xi
-        return total
+    def _value(self, x: Sequence[float], theta: Sequence[float]) -> tuple[float, float]:
+        """Objective ``V*sum(ln P(x)) - q*sum(x)`` at ``x``, and that minus
+        ``sum((theta - q) * x)``: the Lagrangian's per-variable part at
+        prices ``theta``.  Every objective and Lagrangian value of the
+        allocator comes from this one loop."""
+        V, lna_all, q = self.V, self.lna, self.q
+        log, expm1 = math.log, math.expm1
+        common = price_term = cost_term = 0.0
+        for i, xi in enumerate(x):
+            common += V * log(-expm1(xi * lna_all[i]))
+            price_term += (theta[i] - q) * xi
+            cost_term += xi
+        f = common - q * cost_term
+        return f, f - price_term
 
 
 class _Block(_Variables):
     """The variables of one route: its edges in id order.
 
     ``zero`` is the block's share of the Lagrangian at zero multipliers:
-    the sum of ``V*ln(1-a^x0) - q*x0`` over its variables.  A box that
+    its objective at ``x0``, ``V*sum(ln(1-a^x0)) - q*sum(x0)``.  A box that
     holds no channel raises InfeasibleSelectionError.
     """
 
@@ -208,7 +207,7 @@ class _Block(_Variables):
         theta = [self.q] * n
         self.x0, self.slope0 = [0.0] * n, [0.0] * n
         self._load(range(n), theta, 0.0, self.x0, self.slope0)
-        self.zero = self._lagrangian(self.x0, theta)
+        self.zero = self._value(self.x0, theta)[0]
 
     def lagrangian_part(self, table: dict[tuple[int, int], tuple[int, float]]
                         ) -> tuple[float, int]:
@@ -232,7 +231,7 @@ class _Block(_Variables):
             theta.append(th)
         x = [0.0] * n
         self._load(range(n), theta, 0.0, x, [0.0] * n)
-        return self._lagrangian(x, theta), touched
+        return self._value(x, theta)[1], touched
 
 
 class VariablePool:
@@ -419,19 +418,6 @@ class _Instance(_Variables):
 
     # -- relaxed program ----------------------------------------------------
 
-    def _value(self, x: Sequence[float], theta: Sequence[float]) -> tuple[float, float]:
-        """Objective ``V*sum(ln P(x)) - q*sum(x)`` at ``x``, and that minus
-        ``sum((theta - q) * x)``: the Lagrangian's per-variable part."""
-        V, lna_all, q = self.V, self.lna, self.q
-        log, expm1 = math.log, math.expm1
-        common = price_term = cost_term = 0.0
-        for i, xi in enumerate(x):
-            common += V * log(-expm1(xi * lna_all[i]))
-            price_term += (theta[i] - q) * xi
-            cost_term += xi
-        f = common - q * cost_term
-        return f, f - price_term
-
     def _project(self, x: list[float]) -> tuple[list[float], bool]:
         """Scale the variables of overloaded constraints toward 1, in place.
 
@@ -441,7 +427,9 @@ class _Instance(_Variables):
         """
         changed = False
         for members, cap in self.constraints:
-            load = sum([x[i] for i in members])
+            load = 0.0
+            for i in members:
+                load += x[i]
             if load > cap + 1e-12:
                 k = len(members)
                 rho = (cap - k) / (load - k) if load > k else 0.0
@@ -648,9 +636,6 @@ class _Instance(_Variables):
             for ci in cons_of_var[best_i]:
                 loads[ci] += 1
 
-    def integer_objective(self, counts: Sequence[int]) -> float:
-        return self._lagrangian(counts, [self.q] * len(counts))
-
 
 def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
              params: PerSlotObjectiveParams,
@@ -686,7 +671,7 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     inst = _Instance(routes, pool, floor)
     x, _ = inst.solve_relaxed()
     counts = inst.round_down_and_fill(x)
-    f = inst.integer_objective(counts)
+    f = inst._value(counts, [inst.q] * len(counts))[0]
     if f > pool.best:
         pool.best = f
         pool._keep_multipliers(inst)

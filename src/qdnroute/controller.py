@@ -22,6 +22,7 @@ from .model import (
     SlotCapacities,
     check_fields,
     route_success_prob,
+    slot_utility,
     verify_feasible,
 )
 from .routes import SdRequest
@@ -125,7 +126,7 @@ def run_slot(policy: str, graph: QdnGraph, caps: SlotCapacities,
         remaining = budget.total_budget - state.cumulative_cost
         q, cost_cap = 0.0, max(0, remaining // remaining_slots)
 
-    selection, alloc, probs = {}, None, ()
+    selection, alloc, probs, utility = {}, None, (), 0.0
     servable = [r for r in requests if r.servable]
     if servable:
         params = PerSlotObjectiveParams(V=budget.V, q=q, cost_cap=cost_cap)
@@ -144,11 +145,11 @@ def run_slot(policy: str, graph: QdnGraph, caps: SlotCapacities,
                     f"node (id, load, cap) {report.node_violations}, edge (id, load, cap) "
                     f"{report.edge_violations}, cost {alloc.cost} against cap {cost_cap}")
             probs = tuple(route_success_prob(graph, route, alloc) for route in routes)
+            utility = slot_utility(graph, routes, alloc)
     cost = alloc.cost if alloc is not None else 0
     new_q, q_after = state.q, 0.0
     if policy == "OSCAR":
         new_q = q_after = queue_update(state.q, cost, budget.total_budget, budget.horizon)
-    utility = sum(map(math.log, probs), 0.0)
     record = SlotRecord(state.slot, policy, probs, utility, cost, q_after,
                         len(requests) - len(probs))
     new_state = replace(state, q=new_q, cumulative_cost=state.cumulative_cost + cost,
@@ -179,8 +180,8 @@ def drift_penalty_constant(c_max: float, total_budget: int, horizon: int) -> flo
 def theorem1_drift_bound(delta: float, B: float, V: float,
                          F: int, L: int, p_min: float) -> float:
     """Per-slot drift bound ``delta + B - V*F*L*ln(p_min)``."""
-    if not 0.0 < p_min < 1.0:
-        raise ValueError(f"p_min must lie in (0, 1), got {p_min}")
+    if not 0.0 < p_min <= 1.0:
+        raise ValueError(f"p_min must lie in (0, 1], got {p_min}")
     return delta + B - V * F * L * math.log(p_min)
 
 

@@ -188,13 +188,17 @@ class RunMetrics:
         utility_sum = 0.0
         # Success averages weight slots equally (mean of per-slot means over
         # served requests), matching how the time-evolving average is read.
+        # Left folds, not builtin sum, whose float bits vary by Python version.
         slot_mean_sum = 0.0
         served_slots = 0
         running_cost = 0
         for i, rec in enumerate(records):
             utility_sum += rec.utility
             if rec.success_probs:
-                slot_mean_sum += sum(rec.success_probs) / len(rec.success_probs)
+                slot_sum = 0.0
+                for p in rec.success_probs:
+                    slot_sum += p
+                slot_mean_sum += slot_sum / len(rec.success_probs)
                 served_slots += 1
             probs.extend(rec.success_probs)
             running_cost += rec.cost

@@ -5,9 +5,13 @@ root comes from plain bisection on the derivative, integer optima from
 exhaustive enumeration, and fractional optima from dynamic programming over
 a fixed 0.01 grid.  ``allocator_instance`` and ``relaxed_solution`` are not
 oracles: they let a test run the allocator's stages one at a time.
+``summation`` replays a test under the float summation of Python 3.12 and
+later.
 """
 
 import math
+import sys
+from contextlib import contextmanager
 from itertools import product
 
 import numpy as np
@@ -18,6 +22,7 @@ from qdnroute.model import (
     EdgeSpec,
     QdnGraph,
     SlotCapacities,
+    slot_utility,
     verify_feasible,
 )
 from qdnroute.routes import RouteConfig, build_requests
@@ -119,6 +124,63 @@ def instance_variables(graph, caps, routes, params):
             probs[key] = graph.p_edge[eid]
             boxes[key] = min(caps.w_caps[eid], caps.q_caps[e.u], caps.q_caps[e.v])
     return sorted(keys), probs, boxes
+
+
+def per_slot_objective(graph, routes, alloc, params):
+    """Drift-plus-penalty objective ``V * utility - q * cost``."""
+    return params.V * slot_utility(graph, routes, alloc) - params.q * alloc.cost
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as Python 3.12 and later compute it (CPython's
+    ``builtin_sum_impl``): a run of float terms is added with Neumaier's
+    compensation, which earlier versions do not apply."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(total) is not int:
+                break
+    if type(total) is float:
+        c = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif type(item) is int:
+                total += item
+            else:
+                if c and math.isfinite(c):
+                    total += c
+                total = total + item
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in items:
+        total = total + item
+    return total
+
+
+SUMMATIONS = ("builtin", "compensated")
+
+
+@contextmanager
+def summation(kind):
+    """Run the block with builtin ``sum``, or with ``compensated_sum``
+    patched in for it in every loaded qdnroute module.  A test whose bits
+    must not depend on the Python version runs its body under each kind of
+    ``SUMMATIONS``."""
+    modules = [module for name, module in list(sys.modules.items())
+               if kind == "compensated" and name.split(".")[0] == "qdnroute"]
+    for module in modules:
+        module.sum = compensated_sum
+    try:
+        yield
+    finally:
+        for module in modules:
+            del module.sum
 
 
 def objective_of_counts(graph, routes, params, counts):

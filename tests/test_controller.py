@@ -7,7 +7,8 @@ Core claims:
       slots unserved at zero cost
     - with slack caps and zero queue, all three policies make the same
       first-slot decision
-    - theorem bound evaluators reproduce hand values and limits
+    - theorem bound evaluators reproduce hand values and limits, and stay
+      finite on links whose success rounds to 1
     - the feasibility assumption check is exact arithmetic
     - run_slot rejects an unknown policy with a ValueError naming the
       known ones
@@ -26,6 +27,7 @@ from qdnroute.allocation import delta_gap
 from qdnroute.controller import (
     BudgetParams,
     ControllerState,
+    bound_summary,
     check_assumption1,
     drift_penalty_constant,
     ma_slot,
@@ -230,6 +232,21 @@ class TestBounds:
         D = theorem1_drift_bound(delta, B, 2500.0, 5, 6, 0.5507069855552713)
         assert D == approx(delta + B - 2500 * 30 * math.log(0.5507069855552713), rel=1e-12)
         assert D > 0
+
+    def test_saturated_links_bound_finitely(self):
+        # 100 attempts at p = 0.5 leave every link's success rounding to
+        # 1.0; ln(2 - 1) = ln 1 = 0, so the rounding gap and the link term
+        # of the drift bound vanish instead of raising.
+        g = generate_waxman(WaxmanParams(node_count=8, seed=3),
+                            CapacityDistributions(p_attempt=0.5, attempts=100))
+        assert set(g.p_edge) == {1.0}
+        info = bound_summary(g, BudgetParams(5000, 200, V=2500.0), 5, 6)
+        B = drift_penalty_constant(max_slot_cost(g), 5000, 200)
+        assert info["p_min"] == 1.0 and info["delta"] == 0.0
+        assert info["D"] == B
+        assert math.isfinite(info["theorem1_rhs"]) and math.isfinite(info["theorem2_gap"])
+        with pytest.raises(ValueError, match=r"p_min must lie in \(0, 1\], got 1.5"):
+            theorem1_drift_bound(0.0, B, 2500.0, 5, 6, 1.5)
 
     def test_assumption1(self):
         assert not check_assumption1(5000, 5, 6, 200)  # 5000 < 6000

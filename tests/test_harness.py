@@ -15,7 +15,8 @@ Core claims:
       from a sweep value
     - run_experiment writes the documented CSV schemas and byte-identical
       outputs on repeated runs, independent of the worker count; pinned
-      digests guard the three CSVs of a short stock-config run
+      digests guard the three CSVs of a short stock-config run, also with
+      builtin sum replaced by the compensated float sum of Python 3.12
     - policies within a trial see identical request streams (paired design)
     - running averages in RunMetrics are recomputable from slot records
     - histograms conserve request counts and bin correctly
@@ -46,6 +47,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import SUMMATIONS, summation
 from qdnroute.cli import main as cli_main
 from qdnroute.harness import (
     SLOTS_COLUMNS,
@@ -380,10 +382,12 @@ class TestRunExperiment:
         cfg = default_config()
         cfg = replace(cfg, trials=2, workers=1,
                       budget=replace(cfg.budget, horizon=10, total_budget=250))
-        run_experiment(cfg, tmp_path, quiet=True)
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in PINNED_CSV_SHA256}
-        assert digests == PINNED_CSV_SHA256
+        for kind in SUMMATIONS:
+            with summation(kind):
+                run_experiment(cfg, tmp_path / kind, quiet=True)
+            digests = {name: hashlib.sha256((tmp_path / kind / name).read_bytes()).hexdigest()
+                       for name in PINNED_CSV_SHA256}
+            assert digests == PINNED_CSV_SHA256, kind
 
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         run_experiment(tiny_config(workers=1), tmp_path / "serial", quiet=True)
@@ -573,6 +577,15 @@ class TestCli:
         assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
         text = capsys.readouterr().out
         assert "theorem1_rhs" in text and "delta" in text
+
+    def test_bounds_command_on_saturated_links(self, tmp_path, capsys):
+        # Every link's success rounds to 1.0: the bounds are finite, not a
+        # p_min traceback.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("capacities: {p_attempt: 0.5, attempts: 100}\n")
+        assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert "p_min = 1.0\n" in out and "delta = 0.0\n" in out
 
     def test_bounds_command_warns_on_stock_budget(self, capsys):
         # the stock C = 5000 is below F*L*T = 5 * 6 * 200 = 6000
