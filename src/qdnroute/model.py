@@ -136,29 +136,32 @@ class QdnGraph:
         edge_index: dict[tuple[int, int], int] = {}
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
-            u, v = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+            u, v = key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            if not (0 <= u and v < n):
                 raise ValueError(f"edge ({e.u}, {e.v}) references unknown node")
-            if (u, v) in edge_index:
+            if key in edge_index:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            edge_index[(u, v)] = eid
+            edge_index[key] = eid
             if e.channels < 0:
                 raise ValueError("channel capacity must be >= 0")
-            normalized.append(EdgeSpec(u, v, e.channels, e.p_attempt, e.attempts))
+            if u != e.u:  # an edge that already has u < v is kept as it is
+                e = EdgeSpec(u, v, e.channels, e.p_attempt, e.attempts)
+            normalized.append(e)
             adjacency[u].append((v, eid))
             adjacency[v].append((u, eid))
         object.__setattr__(self, "edges", tuple(normalized))
-        p_edge = tuple(channel_success_prob(e.p_attempt, e.attempts) for e in self.edges)
-        object.__setattr__(self, "p_edge", p_edge)
-        # Clamped so near-certain links (p_edge rounding to 1.0) keep the
-        # allocator's log-domain arithmetic finite.
-        object.__setattr__(
-            self,
-            "log_fail",
-            tuple(-700.0 if p == 1.0 else max(math.log1p(-p), -700.0) for p in p_edge),
-        )
+        # One (p_edge, log_fail) pair per link model, which edges mostly
+        # share.  The log is clamped so near-certain links (p_edge rounding
+        # to 1.0) keep the allocator's log-domain arithmetic finite.
+        links: dict[tuple[float, int], tuple[float, float]] = {}
+        for key in dict.fromkeys((e.p_attempt, e.attempts) for e in normalized):
+            p = channel_success_prob(*key)
+            links[key] = p, -700.0 if p == 1.0 else max(math.log1p(-p), -700.0)
+        per_edge = [links[e.p_attempt, e.attempts] for e in normalized]
+        object.__setattr__(self, "p_edge", tuple(p for p, _ in per_edge))
+        object.__setattr__(self, "log_fail", tuple(lf for _, lf in per_edge))
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adjacency))
         object.__setattr__(self, "edge_index", edge_index)
 

@@ -1,14 +1,16 @@
 """Candidate route precomputation: k-shortest loopless paths by hop count.
 
 Each SD pair gets at most ``max_candidates`` simple paths of at most
-``max_hops`` hops, ordered by (hop count, node sequence).  Candidates are a
+``max_hops`` hops, ordered by (hop count, node sequence).  The search walks
+``QdnGraph.adjacency`` and builds every route, node ids and edge ids, as it
+steps, so no route is rebuilt or looked up afterwards.  Candidates are a
 function of the graph alone; whether they fit the slot's capacities is the
 allocator's problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import QdnGraph, Route, check_fields
 
@@ -48,10 +50,14 @@ def candidate_routes(graph: QdnGraph, s: int, d: int,
     to L, walk simple paths from s in neighbor-id order and accept d only
     at exactly h hops, so paths come out in (hops, nodes) order and the
     first R found are exactly the top R of the full simple-path enumeration.
-    A BFS from d gives each node's hop distance to d, a lower bound on the
-    hops a path from it still needs, which prunes every branch that cannot
-    reach d in the hops left.  An empty list means the pair is not servable
-    within L hops.
+    The walk builds each route as it goes, node ids and edge ids from
+    ``graph.adjacency`` side by side, and only ever steps to an adjacent
+    node not yet on the path.  A BFS from d, stopped at the layer that
+    reaches s, labels each node it reaches with its hop distance to d and
+    every other node with one more than the last layer: either is a lower
+    bound on the hops a path from the node still needs, which prunes every
+    branch that cannot reach d in the hops left.  An empty list means the
+    pair is not servable within L hops.
     """
     n = graph.node_count
     if not (0 <= s < n and 0 <= d < n):
@@ -59,33 +65,40 @@ def candidate_routes(graph: QdnGraph, s: int, d: int,
     if s == d:
         raise ValueError("source and destination must differ")
     R, L = config.max_candidates, config.max_hops
-    dist = [L + 1] * n  # L + 1: not within L hops of d
+    adjacency = graph.adjacency
+    far = L + 1  # not reached by the BFS (yet)
+    dist = [far] * n
     dist[d] = 0
-    frontier = [d]
-    for hops in range(1, L + 1):
+    frontier, depth = [d], 0
+    while dist[s] == far and depth < L:
+        depth += 1
         reached = []
         for v in frontier:
-            for nbr, _ in graph.neighbors(v):
-                if dist[nbr] > L:
-                    dist[nbr] = hops
+            for nbr, _ in adjacency[v]:
+                if dist[nbr] == far:
+                    dist[nbr] = depth
                     reached.append(nbr)
         frontier = reached
+    if dist[s] == far:
+        return []
+    bound = depth + 1  # every node the BFS did not reach is at least this far
+    dist = [k if k < bound else bound for k in dist]
 
-    found: list[tuple[int, ...]] = []
+    found: list[Route] = []
 
-    def walk(path: tuple[int, ...], left: int) -> None:
-        for nbr, _ in graph.neighbors(path[-1]):
+    def walk(nodes: tuple[int, ...], eids: tuple[int, ...], left: int) -> None:
+        for nbr, eid in adjacency[nodes[-1]]:
             if len(found) == R:
                 return
             if nbr == d:
                 if left == 1:
-                    found.append(path + (d,))
-            elif dist[nbr] < left and nbr not in path:
-                walk(path + (nbr,), left - 1)
+                    found.append(Route(None, eids + (eid,), nodes + (d,)))
+            elif dist[nbr] < left and nbr not in nodes:
+                walk(nodes + (nbr,), eids + (eid,), left - 1)
 
-    for h in range(dist[s], L + 1):
-        walk((s,), h)
-    return [Route.from_nodes(graph, nodes) for nodes in found]
+    for h in range(depth, L + 1):
+        walk((s,), (), h)
+    return found
 
 
 class CandidateCache:
@@ -111,6 +124,6 @@ def build_requests(graph: QdnGraph, pairs: list[tuple[int, int]],
         cache = CandidateCache(graph, config)
     requests = []
     for rid, (s, d) in enumerate(pairs):
-        bound = tuple(replace(r, request_id=rid) for r in cache.get(s, d))
+        bound = tuple(Route(rid, r.edges, r.nodes) for r in cache.get(s, d))
         requests.append(SdRequest(rid, s, d, bound))
     return requests

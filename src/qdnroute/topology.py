@@ -10,6 +10,7 @@ shift when unrelated parameters change.  A graph saves to a JSON document.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -131,36 +132,61 @@ def _place_nodes(rng: np.random.Generator, count: int, side: float) -> np.ndarra
     return rng.uniform(0.0, side, size=(count, 2))
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_indices(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    # Read-only: every draw on this node count shares the arrays.
+    u, v = np.triu_indices(node_count, k=1)
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
 def pair_factors(points: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every unordered pair ``u < v`` in row-major order, with its Waxman
-    factor ``exp(-d / (alpha * d_max))``; coincident points get factor 1."""
-    u, v = np.triu_indices(len(points), k=1)
-    dist = np.sqrt(((points[u] - points[v]) ** 2).sum(axis=1))
+    factor ``exp(-d / (alpha * d_max))``; coincident points get factor 1.
+    The pair index arrays are cached per node count and read-only."""
+    u, v = _pair_indices(len(points))
+    x, y = points[:, 0], points[:, 1]
+    dx, dy = x[u] - x[v], y[u] - y[v]
+    dist = np.sqrt(dx * dx + dy * dy)
     d_max = dist.max(initial=0.0)
     factors = np.exp(-dist / (alpha * d_max)) if d_max > 0 else np.ones_like(dist)
     return u, v, factors
 
 
 def _draw_edges(rng: np.random.Generator, points: np.ndarray,
-                alpha: float, beta: float) -> list[tuple[int, int]]:
+                alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Test each unordered pair once with the Waxman probability: one array
-    draw, equal to one scalar ``rng.random()`` per pair in ``pair_factors`` order."""
+    draw, equal to one scalar ``rng.random()`` per pair in ``pair_factors``
+    order.  Returns the endpoint arrays of the pairs kept."""
     u, v, factors = pair_factors(points, alpha)
     keep = rng.random(len(factors)) < beta * factors
-    return list(zip(u[keep].tolist(), v[keep].tolist()))
+    return u[keep], v[keep]
 
 
-def _connected(node_count: int, edges: list[tuple[int, int]]) -> bool:
+def _connected(node_count: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the edges ``u[i]``-``v[i]`` join all ``node_count >= 2`` nodes.
+
+    A node without an edge fails the draw before any adjacency is built:
+    on sparse draws that is the usual way to be disconnected.
+    """
+    touched = np.zeros(node_count, dtype=bool)
+    touched[u] = touched[v] = True
+    if not touched.all():
+        return False
     adj: list[list[int]] = [[] for _ in range(node_count)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen, stack = {0}, [0]
+    for a, b in zip(u.tolist(), v.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * node_count
+    seen[0] = True
+    stack, reached = [0], 1
     while stack:
-        fresh = set(adj[stack.pop()]) - seen
-        seen |= fresh
-        stack.extend(fresh)
-    return len(seen) == node_count
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == node_count
 
 
 def generate_waxman(params: WaxmanParams, caps: CapacityDistributions) -> QdnGraph:
@@ -173,23 +199,23 @@ def generate_waxman(params: WaxmanParams, caps: CapacityDistributions) -> QdnGra
     """
     q_lo, q_hi = caps.qubit_range
     w_lo, w_hi = caps.channel_range
+    lo, hi = params.degree_band or (0.0, math.inf)
     for attempt in range(_MAX_GENERATION_RETRIES):
         rng = np.random.default_rng([params.seed, STREAM_TOPOLOGY, attempt])
         points = _place_nodes(rng, params.node_count, params.side)
-        pairs = _draw_edges(rng, points, params.alpha, params.beta)
-        degree = 2 * len(pairs) / params.node_count
-        lo, hi = params.degree_band or (0.0, np.inf)
-        if not (lo <= degree <= hi and _connected(params.node_count, pairs)):
+        u, v = _draw_edges(rng, points, params.alpha, params.beta)
+        degree = 2 * len(u) / params.node_count
+        if not (lo <= degree <= hi and _connected(params.node_count, u, v)):
             continue  # the O(1) band check first: both are rejections
         if caps.fluctuation == "redraw":
             qubit_caps = tuple([q_hi] * params.node_count)
-            channel_caps = [w_hi] * len(pairs)
+            channel_caps = [w_hi] * len(u)
         else:
             qubit_caps = tuple(rng.integers(q_lo, q_hi + 1, params.node_count).tolist())
-            channel_caps = rng.integers(w_lo, w_hi + 1, len(pairs)).tolist()
+            channel_caps = rng.integers(w_lo, w_hi + 1, len(u)).tolist()
         edges = tuple(
-            EdgeSpec(u, v, w, caps.p_attempt, caps.attempts)
-            for (u, v), w in zip(pairs, channel_caps)
+            EdgeSpec(a, b, w, caps.p_attempt, caps.attempts)
+            for a, b, w in zip(u.tolist(), v.tolist(), channel_caps)
         )
         return QdnGraph(qubit_caps, edges)
     band = params.degree_band

@@ -9,7 +9,8 @@ Core claims:
       bound; unreachable pairs give an empty list
     - output is deterministic and the cache binds request ids correctly
     - candidate sets on the default topologies and a 100-node one match a
-      recorded digest
+      recorded digest, and every candidate's edge ids, built in the walk,
+      are the ones ``Route.from_nodes`` finds for its nodes
     - an endpoint outside the graph's nodes raises ValueError
     - the cache looks up ``routes.candidate_routes`` once per new pair and
       never on a hit, through the module attribute a tracer can wrap
@@ -23,7 +24,7 @@ import pytest
 
 from qdnroute import routes
 from qdnroute.harness import calibrate_beta, default_config
-from qdnroute.model import EdgeSpec, QdnGraph
+from qdnroute.model import EdgeSpec, QdnGraph, Route
 from qdnroute.routes import (
     CandidateCache,
     RouteConfig,
@@ -177,7 +178,7 @@ def test_cache_looks_up_each_new_pair_once(monkeypatch):
 PINNED_CANDIDATES_SHA256 = "a0418094923040eebbef6b1742a72941f37c7bae776ca9781f1e808bbe4190ca"
 
 
-def test_candidates_pinned():
+def _pinned_cases():
     # Every ordered pair of the default config's trial 0 and 1 topologies, and
     # the pairs from every fifth source of a 100-node topology with beta
     # calibrated to mean degree 4, as ``qdnroute sweep --param node_count``
@@ -189,13 +190,26 @@ def test_candidates_pinned():
     wide = replace(topo, node_count=100, seed=cfg.seed,
                    beta=calibrate_beta(100, topo.alpha, topo.side))
     graphs.append(generate_waxman(wide, cfg.capacities))
-    h = hashlib.sha256()
     for k, g in enumerate(graphs):
         n = g.node_count
         for rc in (RouteConfig(3, 6), RouteConfig(10, 8)):
             for s in range(0, n, n // 20):
                 for d in range(n):
                     if s != d:
-                        nodes = [r.nodes for r in candidate_routes(g, s, d, rc)]
-                        h.update(f"{k}:{rc}:{s},{d}:{nodes}\n".encode())
+                        yield k, g, rc, s, d, candidate_routes(g, s, d, rc)
+
+
+def test_candidates_pinned():
+    h = hashlib.sha256()
+    for k, _, rc, s, d, found in _pinned_cases():
+        nodes = [r.nodes for r in found]
+        h.update(f"{k}:{rc}:{s},{d}:{nodes}\n".encode())
     assert h.hexdigest() == PINNED_CANDIDATES_SHA256
+
+
+def test_candidate_edges_match_from_nodes():
+    # the digest above hashes node sequences only; from_nodes also checks
+    # that each route is simple and each step joins adjacent nodes
+    for _, g, _, _, _, found in _pinned_cases():
+        for r in found:
+            assert r == Route.from_nodes(g, r.nodes)

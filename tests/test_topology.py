@@ -6,6 +6,10 @@ Core claims:
     - the vectorised edge draw takes the same uniforms as a per-pair loop
       and leaves the stream in the same state; pinned digests guard the
       generated graphs, redraw capacities and calibrated beta
+    - pair factors equal the two-column distance formula bit for bit, and
+      the cached pair index arrays they return cannot be written to
+    - the connectivity check agrees with a union-find on random edge lists,
+      isolated first and last nodes and two-component graphs included
     - the default setup lands near mean degree 4, and the degree band
       rejects draws outside it; a band that holds no mean degree 2m/n a
       connected graph can take is rejected up front, and one that holds a
@@ -38,6 +42,7 @@ from qdnroute.topology import (
     GenerationError,
     WaxmanParams,
     WorkloadParams,
+    _connected,
     _draw_edges,
     _place_nodes,
     generate_waxman,
@@ -90,8 +95,8 @@ def test_edge_probability_matches_waxman_form():
     trials = 3000
     counts = np.zeros((12, 12))
     for _ in range(trials):
-        for u, v in _draw_edges(rng, points, alpha, beta):
-            counts[u, v] += 1
+        u, v = _draw_edges(rng, points, alpha, beta)
+        counts[u, v] += 1
     for u in range(12):
         for v in range(u + 1, 12):
             p = beta * math.exp(-dist[u, v] / (alpha * d_max))
@@ -173,8 +178,8 @@ def test_zero_distance_probability_is_beta():
     points = np.full((6, 2), 37.5)
     _, _, factors = pair_factors(points, alpha=0.5)
     assert factors.tolist() == [1.0] * 15
-    edges = _draw_edges(np.random.default_rng(0), points, alpha=0.5, beta=1.0)
-    assert edges == [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    u, v = _draw_edges(np.random.default_rng(0), points, alpha=0.5, beta=1.0)
+    assert list(zip(u.tolist(), v.tolist())) == [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
 
 def test_waxman_tail_probability_value():
@@ -215,8 +220,85 @@ def test_draw_edges_matches_scalar_loop(n, seed, alpha, beta, coincident):
     if coincident:
         points[:] = points[0]
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _draw_edges(fast, points, alpha, beta) == _draw_edges_scalar(slow, points, alpha, beta)
+    u, v = _draw_edges(fast, points, alpha, beta)
+    assert list(zip(u.tolist(), v.tolist())) == _draw_edges_scalar(slow, points, alpha, beta)
     assert fast.random() == slow.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1),
+       side=st.sampled_from([1e-3, 1.0, 100.0, 1e6]), alpha=st.floats(0.01, 1.0),
+       coincident=st.integers(0, 3))
+def test_pair_factors_match_reference_bits(n, seed, side, alpha, coincident):
+    # the reference squares the coordinate differences and sums each row;
+    # coincident=1 repeats some points, 2 stacks every point on one, 3 puts
+    # every point on one vertical line
+    rng = np.random.default_rng(seed)
+    points = _place_nodes(rng, n, side)
+    if coincident == 1:
+        points[rng.integers(0, n, n // 2)] = points[0]
+    elif coincident == 2:
+        points[:] = points[0]
+    elif coincident == 3:
+        points[:, 0] = points[0, 0]
+    ref_u, ref_v = np.triu_indices(n, k=1)
+    dist = np.sqrt(((points[ref_u] - points[ref_v]) ** 2).sum(axis=1))
+    d_max = dist.max(initial=0.0)
+    ref = np.exp(-dist / (alpha * d_max)) if d_max > 0 else np.ones_like(dist)
+    u, v, factors = pair_factors(points, alpha)
+    assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+    assert factors.tobytes() == ref.tobytes()
+
+
+def test_pair_indices_are_read_only():
+    # the arrays are cached per node count: a write would corrupt later draws
+    u, v, _ = pair_factors(_place_nodes(np.random.default_rng(0), 5, 100.0), 0.5)
+    for arr in (u, v):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 3
+    u2, v2, _ = pair_factors(_place_nodes(np.random.default_rng(1), 5, 100.0), 0.5)
+    assert u2.tolist() == [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
+    assert v2.tolist() == [1, 2, 3, 4, 2, 3, 4, 3, 4, 4]
+
+
+def _union_find_connected(n, edges):
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    return len({root(x) for x in range(n)}) == 1
+
+
+def _connected_pairs(n, edges):
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return _connected(n, u, v)
+
+
+@pytest.mark.parametrize("n, edges, expect", [
+    (2, [], False),
+    (2, [(0, 1)], True),
+    (4, [(1, 2), (2, 3), (1, 3)], False),                  # node 0 isolated
+    (4, [(0, 1), (1, 2), (0, 2)], False),                  # last node isolated
+    (6, [(0, 1), (1, 2), (3, 4), (4, 5)], False),          # two components, no isolated node
+    (6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)], True),
+])
+def test_connected_cases(n, edges, expect):
+    assert _connected_pairs(n, edges) == _union_find_connected(n, edges) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.5))
+def test_connected_matches_union_find(n, seed, density):
+    rng = np.random.default_rng(seed)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+    rng.shuffle(edges)
+    assert _connected_pairs(n, edges) == _union_find_connected(n, edges), (n, edges)
 
 
 def test_topologies_pinned():
