@@ -242,9 +242,16 @@ class ExperimentResult:
     bounds: dict[int, dict]
 
     def policy_mean(self, policy: str, attr: str) -> float:
-        vals = [getattr(m, attr) for (p, _), m in sorted(self.metrics.items())
-                if p == policy]
-        return sum(vals) / len(vals)
+        return _mean([getattr(m, attr) for (p, _), m in sorted(self.metrics.items())
+                      if p == policy])
+
+
+def _mean(values: list) -> float:
+    # A left fold, not builtin sum, whose float bits vary by Python version.
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int):
@@ -421,7 +428,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values,
     for value, sub_cfg in zip(values, sub_cfgs):
         sub_out = out_path / f"{parameter}_{value}" if out_path else None
         result = run_experiment(sub_cfg, sub_out, quiet=quiet)
-        violation = sum(b["theorem1_rhs"] for b in result.bounds.values()) / len(result.bounds)
+        violation = _mean([b["theorem1_rhs"] for b in result.bounds.values()])
         for policy in sub_cfg.policies:
             rows.append({
                 "param": parameter,

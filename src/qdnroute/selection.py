@@ -6,15 +6,18 @@ flip one request's route at a time and are accepted with a logistic
 probability in the objective difference.  Infeasible joint selections score
 negative infinity so either searcher simply avoids them; so does a selection
 whose allocation solve fails to converge, so one bad combination cannot
-abort a run.  The Gibbs sampler draws each proposal's acceptance variate
-first and rejects a proposal whose certified allocator bound already loses
-at that draw, without finishing its solve; exhaustive search under an
-uncapped objective cuts a combination whose bound loses to its incumbent.
-Each search builds one ``VariablePool`` and hands it to every allocator
-call, so a candidate route's variables are built, and a recurring
-constraint pricing is solved, once per search.  The pool keeps the
-multipliers of its best solve so far, so that most losing combinations are
-cut by a bound summed from their routes' blocks.
+abort a run.  Both searches cut with one rule.  A combination must exceed a
+threshold: in exhaustive search under an uncapped objective, the
+incumbent's objective; for a Gibbs proposal, ``f_cur + gamma * ln(u / (1 -
+u))`` at its acceptance draw ``u``, which it exceeds with exactly the
+logistic probability.  ``allocate`` gets the threshold, lowered by a
+relative 1e-9, as its floor, and a combination whose certified bound lies
+below the floor is rejected without finishing its solve.  Each search
+builds one ``VariablePool`` and hands it to every allocator call, so a
+candidate route's variables are built, and a recurring constraint pricing
+is solved, once per search.  The pool keeps the multipliers of its best
+solve so far, so that most losing combinations are cut by a bound summed
+from their routes' blocks.
 """
 
 from __future__ import annotations
@@ -74,37 +77,16 @@ class GibbsParams:
             raise ValueError("gamma must be positive")
 
 
-def gibbs_accept_prob(f_new: float, f_old: float, gamma: float) -> float:
-    """Probability of moving to the proposed selection.
-
-    Logistic in the objective difference: 1 / (1 + exp((f_old - f_new) /
-    gamma)).  Equal objectives give 1/2; large improvements are accepted
-    almost surely.  Infinite arguments resolve to the corresponding limit.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if f_new == f_old:
-        return 0.5
-    if f_new == -math.inf:
-        return 0.0
-    if f_old == -math.inf:
-        return 1.0
-    z = (f_old - f_new) / gamma
-    if z > 700.0:
-        return 0.0
-    if z < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(z))
+def _threshold(u: float, f_cur: float, gamma: float) -> float:
+    """Objective a proposal must exceed to be kept at the draw ``u``, which
+    it does with probability ``1 / (1 + exp((f_cur - f_new) / gamma))``."""
+    return f_cur + gamma * math.log(u / (1.0 - u)) if u > 0.0 else -math.inf
 
 
-def _rejection_floor(u: float, f_old: float, gamma: float) -> float:
-    """Objective below which ``gibbs_accept_prob`` falls under the draw ``u``,
-    lowered by a relative 2e-9 so that a bound below it passes the exact
-    test in ``gibbs_select``."""
-    if u <= 0.0:
-        return -math.inf
-    edge = f_old + gamma * math.log(u / (1.0 - u))
-    return edge - 2e-9 * (1.0 + abs(edge))
+def _floor(threshold: float) -> float:
+    """Both searches' allocator floor: a certified bound below it leaves
+    the objective below ``threshold`` despite rounding."""
+    return threshold - 1e-9 * (1.0 + abs(threshold))
 
 
 def _space(requests: Sequence[SdRequest]) -> list[int]:
@@ -138,16 +120,17 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
 
     Combinations are visited in lexicographic index order and ties break
     toward the first.  Under an uncapped objective, each combination after
-    the first feasible one is handed to ``allocate`` with the incumbent's
-    objective, lowered by a relative 1e-9, as its floor; a combination
-    whose certified bound falls below it could not beat the incumbent and
-    is cut without a full solve.  The search's pool keeps the final node,
-    edge and budget multipliers of its best solve, which is the incumbent,
-    so a floored combination whose Lagrangian at them is below the floor is
-    cut before its instance is built.  The result is the same as solving
-    every combination, with one ``allocate`` call per combination.  Raises
-    EnumerationCapError when the product space exceeds the cap, and
-    AllInfeasibleError when no combination is feasible.
+    the first feasible one is handed to ``allocate`` with ``_floor`` of the
+    incumbent's objective as its floor, the rule ``gibbs_select`` applies
+    to its threshold; a combination whose certified bound falls below it
+    could not beat the incumbent and is cut without a full solve.  The
+    search's pool keeps the final node, edge and budget multipliers of its
+    best solve, which is the incumbent, so a floored combination whose
+    Lagrangian at them is below the floor is cut before its instance is
+    built.  The result is the same as solving every combination, with one
+    ``allocate`` call per combination.  Raises EnumerationCapError when the
+    product space exceeds the cap, and AllInfeasibleError when no
+    combination is feasible.
     """
     sizes = _space(requests)
     space = math.prod(sizes)
@@ -178,7 +161,7 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
         if alloc is not None and f > best_f:
             best_choice, best_alloc, best_f = choice, alloc, f
             if prune:
-                floor = best_f - 1e-9 * (1.0 + abs(best_f))
+                floor = _floor(best_f)
     if best_choice is None:
         raise AllInfeasibleError("every route combination is infeasible")
     selection = {req.request_id: c for req, c in zip(requests, best_choice)}
@@ -194,24 +177,25 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     """Gibbs-sampling route search; returns the best selection visited.
 
     Starts from a uniformly random feasible selection, then repeatedly
-    proposes an alternative candidate for one uniformly random request and
-    accepts with ``gibbs_accept_prob``.  Stops after 5 consecutive proposals
-    per request without an accepted change, or after 200 proposals per
-    request.  Deterministic given the seed.
+    proposes an alternative candidate for one uniformly random request,
+    draws ``u`` uniform in [0, 1), and keeps the proposal when its objective
+    exceeds the threshold ``f_cur + gamma * ln(u / (1 - u))``, as it does
+    with probability ``1 / (1 + exp((f_cur - f_new) / gamma))``.  Stops
+    after 5 consecutive proposals per request without an accepted change,
+    or after 200 proposals per request.  Deterministic given the seed.
 
-    The acceptance variate ``u`` is drawn before the proposal is evaluated.
-    A proposal not solved yet is handed to ``allocate`` with the objective
-    below which it would be rejected at ``u`` as its floor; when the
-    allocator certifies an upper bound ``B`` on its objective with
-    ``u >= gibbs_accept_prob(B + 1e-9*(1+|B|), f_cur, gamma)``, it is
-    rejected without a full solve.  The tightest bound per proposal is
-    kept, so a re-proposal may be rejected without a call.  The search's
-    pool keeps the multipliers of its best solve so far, initial draws
-    included, and a later proposal whose Lagrangian at them loses is cut
-    before its instance is built.  The outcome is the same as solving every
-    proposal.  ``trace`` receives
-    ``(iteration, proposal, f_cur, f_new, accepted)`` per proposal, with
-    ``f_new = None`` for a proposal rejected by its bound.
+    The threshold is drawn before the proposal is evaluated.  A proposal
+    not solved yet is handed to ``allocate`` with ``_floor`` of the
+    threshold as its floor, the rule ``exhaustive_select`` applies to its
+    incumbent; one whose certified bound falls below it scores below the
+    threshold and is rejected without a full solve.  Its bound is kept, so
+    a re-proposal whose bound is below a later floor is rejected without a
+    call.  The search's pool keeps the multipliers of its best solve so far,
+    initial draws included, and a later proposal whose Lagrangian at them
+    loses is cut before its instance is built.  The outcome is the same as
+    solving every proposal.  ``trace`` receives ``(iteration, proposal,
+    f_cur, f_new, accepted)`` per proposal, with ``f_new = None`` for a
+    proposal rejected by its bound.
     """
     sizes = _space(requests)
     count = len(sizes)
@@ -220,30 +204,22 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     pool = VariablePool(graph, caps, params)
 
     # A solved choice maps to its (allocation, objective), a cut one to the
-    # tightest upper bound certified on its objective.
+    # upper bound certified on its objective.
     seen: dict[tuple[int, ...], tuple[Allocation | None, float] | float] = {}
 
-    def loses(bound: float, u: float) -> bool:
-        return u >= gibbs_accept_prob(bound + 1e-9 * (1.0 + abs(bound)), f_cur, gibbs.gamma)
-
     def score(choice: tuple[int, ...],
-              u: float | None = None) -> tuple[Allocation | None, float | None]:
-        # (None, None) when the choice's certified bound rejects it at u.
+              floor: float = -math.inf) -> tuple[Allocation | None, float | None]:
+        # (None, None) when the choice's certified bound lies below floor.
         known = seen.get(choice, math.inf)
         if isinstance(known, tuple):
             return known
-        if u is not None:
-            if loses(known, u):
-                return None, None
-            try:
-                seen[choice] = _evaluate(pool, requests, choice,
-                                         _rejection_floor(u, f_cur, gibbs.gamma))
-                return seen[choice]
-            except DominatedError as exc:
-                seen[choice] = min(known, exc.bound)
-                if loses(seen[choice], u):
-                    return None, None
-        seen[choice] = _evaluate(pool, requests, choice)
+        if known < floor:
+            return None, None
+        try:
+            seen[choice] = _evaluate(pool, requests, choice, floor)
+        except DominatedError as exc:
+            seen[choice] = exc.bound
+            return None, None
         return seen[choice]
 
     for _ in range(_INIT_RETRIES):
@@ -267,12 +243,12 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
         if alt >= current[idx]:
             alt += 1
         proposal = current[:idx] + (alt,) + current[idx + 1:]
-        u = rng.random()
-        alloc, f_new = score(proposal, u)
-        accepted = f_new is not None and u < gibbs_accept_prob(f_new, f_cur, gibbs.gamma)
+        threshold = _threshold(rng.random(), f_cur, gibbs.gamma)
+        alloc, f_new = score(proposal, _floor(threshold))
+        accepted = f_new is not None and f_new > threshold
         if trace is not None:
             trace.append((it, proposal, f_cur, f_new, accepted))
-        if accepted and alloc is not None:
+        if accepted:
             current, f_cur = proposal, f_new
             stable = 0
             if f_new > best_f:

@@ -2,13 +2,16 @@
 
 The oracles deliberately avoid the allocator's code paths: the stationarity
 root comes from plain bisection on the derivative, integer optima from
-exhaustive enumeration, and fractional optima from dynamic programming over
-a fixed 0.01 grid.  ``allocator_instance`` and ``relaxed_solution`` are not
-oracles: they let a test run the allocator's stages one at a time.
+exhaustive enumeration, fractional optima from dynamic programming over a
+fixed 0.01 grid, and the Gibbs acceptance probability from the logistic
+formula in 60-digit decimal arithmetic.  ``allocator_instance`` and
+``relaxed_solution`` are not oracles: they let a test run the allocator's
+stages one at a time.
 ``summation`` replays a test under the float summation of Python 3.12 and
 later.
 """
 
+import decimal
 import math
 import sys
 from contextlib import contextmanager
@@ -129,6 +132,16 @@ def instance_variables(graph, caps, routes, params):
 def per_slot_objective(graph, routes, alloc, params):
     """Drift-plus-penalty objective ``V * utility - q * cost``."""
     return params.V * slot_utility(graph, routes, alloc) - params.q * alloc.cost
+
+
+def accept_prob(f_new, f_old, gamma):
+    """Probability ``1 / (1 + exp((f_old - f_new) / gamma))`` of keeping a
+    proposal, as a ``Decimal`` to 60 digits: a float draw compares with it
+    exactly where the float formula would round, as it does near 0 and 1."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        z = (decimal.Decimal(f_old) - decimal.Decimal(f_new)) / decimal.Decimal(gamma)
+        return 1 / (1 + z.exp())
 
 
 def compensated_sum(iterable, /, start=0):

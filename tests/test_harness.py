@@ -16,7 +16,8 @@ Core claims:
     - run_experiment writes the documented CSV schemas and byte-identical
       outputs on repeated runs, independent of the worker count; pinned
       digests guard the three CSVs of a short stock-config run, also with
-      builtin sum replaced by the compensated float sum of Python 3.12
+      builtin sum replaced by the compensated float sum of Python 3.12;
+      so are the trial means of summary.csv and sweep.csv
     - policies within a trial see identical request streams (paired design)
     - running averages in RunMetrics are recomputable from slot records
     - histograms conserve request counts and bin correctly
@@ -40,6 +41,7 @@ import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,11 +50,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import SUMMATIONS, summation
+from qdnroute import harness
 from qdnroute.cli import main as cli_main
 from qdnroute.harness import (
     SLOTS_COLUMNS,
     SWEEP_COLUMNS,
     ExperimentConfig,
+    ExperimentResult,
     RunMetrics,
     calibrate_beta,
     config_from_dict,
@@ -389,6 +393,15 @@ class TestRunExperiment:
                        for name in PINNED_CSV_SHA256}
             assert digests == PINNED_CSV_SHA256, kind
 
+    def test_policy_mean_is_a_left_fold(self):
+        # Python 3.12's compensated sum of these gives 0.33333333333333337.
+        metrics = {("OSCAR", k): SimpleNamespace(final_success=v)
+                   for k, v in enumerate((1.0, 1e-16, 1e-16))}
+        result = ExperimentResult(None, metrics, {}, {})
+        for kind in SUMMATIONS:
+            with summation(kind):
+                assert result.policy_mean("OSCAR", "final_success") == 0.3333333333333333, kind
+
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         run_experiment(tiny_config(workers=1), tmp_path / "serial", quiet=True)
         run_experiment(tiny_config(workers=2), tmp_path / "parallel", quiet=True)
@@ -490,6 +503,21 @@ class TestSweep:
         assert table[0] == SWEEP_COLUMNS
         assert len(table) == 1 + len(rows)
         assert all(float(r[-1]) > 0 for r in table[1:])  # violation bound positive
+
+    def test_violation_bound_is_a_left_fold(self, monkeypatch):
+        # As test_policy_mean_is_a_left_fold, for the mean over trials of
+        # each trial's Theorem 1 bound.
+        def three_trials(cfg, out_dir, quiet):
+            metrics = {(p, 0): SimpleNamespace(final_utility=0.0, final_success=0.0,
+                                               final_cost=0) for p in cfg.policies}
+            bounds = {k: {"theorem1_rhs": v} for k, v in enumerate((1.0, 1e-16, 1e-16))}
+            return ExperimentResult(cfg, metrics, {}, bounds)
+
+        monkeypatch.setattr(harness, "run_experiment", three_trials)
+        for kind in SUMMATIONS:
+            with summation(kind):
+                rows = sweep(tiny_config(), "C", [150], quiet=True)
+            assert {r["violation_bound"] for r in rows} == {0.3333333333333333}, kind
 
     def test_node_sweep_recalibrates_beta(self):
         cfg = tiny_config(trials=1)

@@ -1,8 +1,10 @@
 """Unit tests for route selection.
 
 Core claims:
-    - the acceptance probability is logistic, symmetric, and saturates at
-      its limits; accept(a,b) + accept(b,a) = 1
+    - a proposal is kept when its objective exceeds f_cur + gamma *
+      ln(u / (1 - u)) at its draw u, which agrees with the logistic
+      acceptance probability at every positive draw the generator can make;
+      at u = 0 the threshold is -inf
     - exhaustive search returns the true maximizer with lexicographic ties
       and raises on oversized spaces or fully infeasible instances
     - Gibbs search is deterministic per seed, always returns a feasible
@@ -11,8 +13,9 @@ Core claims:
     - the auto selector dispatches on the product-space size
     - a zero sampler temperature, an empty request list and a request with
       no candidate are rejected with a message; a zero acceptance draw
-      rejects at no floor; a route over a slot capacity of 0 scores as
-      infeasible at zero price, so the search picks another
+      solves a proposal at no floor and keeps it if feasible; a route over
+      a slot capacity of 0 scores as infeasible at zero price, so the
+      search picks another
     - a combination whose allocation solve fails to converge scores as
       infeasible in both searchers instead of aborting the search
     - Gibbs search that rejects proposals by the allocator's certified
@@ -39,15 +42,22 @@ Core claims:
 import hashlib
 import math
 from dataclasses import replace
+from decimal import Decimal
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from instances import SUMMATIONS, random_allocation_instance, relaxed_solution, summation
+from instances import (
+    SUMMATIONS,
+    accept_prob,
+    random_allocation_instance,
+    relaxed_solution,
+    summation,
+)
 from qdnroute import allocation, selection
 from qdnroute.allocation import (
     DominatedError,
@@ -72,7 +82,6 @@ from qdnroute.selection import (
     EnumerationCapError,
     GibbsParams,
     exhaustive_select,
-    gibbs_accept_prob,
     gibbs_select,
     select_routes,
 )
@@ -85,37 +94,46 @@ from qdnroute.topology import (
 
 
 class TestAcceptProb:
+    """The chain keeps a proposal at the draw ``u`` when its objective
+    exceeds ``_threshold(u, f_cur, gamma)``, which a uniform ``u`` makes
+    happen with the logistic probability ``accept_prob``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(k=st.integers(1, 2**53 - 1), f_cur=st.floats(-1e4, 1e4),
+           gap=st.floats(-60.0, 60.0), gamma=st.floats(1e-3, 1e3))
+    def test_threshold_matches_logistic_oracle(self, k, f_cur, gap, gamma):
+        # k / 2**53 runs over every positive draw the generator can make.
+        u = k / 2**53
+        f_new = f_cur + gap * gamma
+        threshold = selection._threshold(u, f_cur, gamma)
+        assume(abs(f_new - threshold) > 1e-9 * (1.0 + abs(threshold)))
+        assert (f_new > threshold) == (Decimal(u) < accept_prob(f_new, f_cur, gamma))
+
     def test_symmetry_at_equal_objectives(self):
-        assert gibbs_accept_prob(5.0, 5.0, 1.0) == 0.5
+        # An equal objective is kept at draws below 1/2, and only there.
+        assert selection._threshold(0.5, 5.0, 1.0) == 5.0
+        assert accept_prob(5.0, 5.0, 1.0) == Decimal("0.5")
 
     def test_unit_gap_value(self):
-        assert gibbs_accept_prob(1.0, 0.0, 1.0) == approx(1 / (1 + math.exp(-1)), abs=1e-12)
-        assert gibbs_accept_prob(1.0, 0.0, 1.0) == approx(0.7311, abs=1e-4)
+        p = 1 / (1 + math.exp(-1))
+        assert p == approx(0.7311, abs=1e-4)
+        assert selection._threshold(p, 0.0, 1.0) == approx(1.0, abs=1e-12)
 
     def test_limits(self):
-        assert gibbs_accept_prob(1e9, 0.0, 1.0) == 1.0
-        assert gibbs_accept_prob(-1e9, 0.0, 1.0) == 0.0
-        assert gibbs_accept_prob(-math.inf, 0.0, 1.0) == 0.0
-        assert gibbs_accept_prob(0.0, -math.inf, 1.0) == 1.0
-
-    def test_complementarity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            a, b = rng.normal(size=2) * 100
-            gamma = float(rng.uniform(0.1, 500))
-            total = gibbs_accept_prob(a, b, gamma) + gibbs_accept_prob(b, a, gamma)
-            assert total == approx(1.0, abs=1e-12)
+        smallest, largest = 2.0**-53, 1.0 - 2.0**-53
+        assert -40.0 < selection._threshold(smallest, 0.0, 1.0) < -30.0
+        assert 30.0 < selection._threshold(largest, 0.0, 1.0) < 40.0
+        assert selection._threshold(0.0, 0.0, 1.0) == -math.inf
 
     def test_increasing_in_gap(self):
-        probs = [gibbs_accept_prob(d, 0.0, 2.0) for d in (-5, -1, 0, 1, 5)]
-        assert all(x < y for x, y in zip(probs, probs[1:]))
+        draws = [k / 1000 for k in range(1000)]
+        kept = [sum(d > selection._threshold(u, 0.0, 2.0) for u in draws)
+                for d in (-5, -1, 0, 1, 5)]
+        assert all(x < y for x, y in zip(kept, kept[1:]))
 
     def test_high_temperature_is_random_walk(self):
-        assert gibbs_accept_prob(1000.0, 0.0, 1e12) == approx(0.5, abs=1e-6)
-
-    def test_gamma_domain(self):
-        with pytest.raises(ValueError):
-            gibbs_accept_prob(1.0, 0.0, 0.0)
+        draws = [k / 1000 for k in range(1000)]
+        assert sum(1000.0 > selection._threshold(u, 0.0, 1e12) for u in draws) == 501
 
 
 def two_route_request(p_direct=0.9, p_detour=0.9):
@@ -280,8 +298,35 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(g, caps, reqs, PerSlotObjectiveParams(V=1.0))
 
-    def test_zero_draw_rejects_nothing(self):
-        assert selection._rejection_floor(0.0, 1.0, 500.0) == -math.inf
+    def test_zero_draw_rejects_nothing(self, monkeypatch):
+        # At u = 0 the threshold and its floor are -inf, so every proposal
+        # is solved at no floor and kept if feasible, here one worse than
+        # the current selection by over 10^4 temperatures.
+        assert selection._floor(selection._threshold(0.0, 1.0, 500.0)) == -math.inf
+        make = np.random.default_rng
+
+        class ZeroDraws:
+            def __init__(self, seed):
+                self.integers = make(seed).integers
+
+            def random(self):
+                return 0.0
+
+        floors = []
+
+        def recording(graph, caps, routes, params, floor=-math.inf, pool=None):
+            floors.append(floor)
+            return allocate(graph, caps, routes, params, floor=floor, pool=pool)
+
+        monkeypatch.setattr(selection.np.random, "default_rng", ZeroDraws)
+        monkeypatch.setattr(selection, "allocate", recording)
+        g, caps, reqs = two_route_request(p_direct=0.9, p_detour=0.3)
+        gamma = 1e-5
+        trace = []
+        gibbs_select(g, caps, reqs, PerSlotObjectiveParams(V=1.0), GibbsParams(gamma, 0), trace)
+        assert floors == [-math.inf] * 2
+        assert trace and all(accepted for *_, accepted in trace)
+        assert min(f_new - f_cur for _, _, f_cur, f_new, _ in trace) < -1e4 * gamma
 
     def test_zero_capacity_route_avoided_at_zero_price(self):
         # The direct route is the better one at full capacity, but its edge
@@ -588,7 +633,7 @@ class TestMultiplierTable:
 # the calls that find them on purpose.
 PINNED_GIBBS_SHA256 = "1cc65a3ef29950ff1c0aef3890fdbbe772b5269f7294589b0affa2c90d5c98be"
 PINNED_EXHAUSTIVE_SHA256 = "0b6acd8b7e27cfaf1b59bdb3238de53e4fd56b69b9c9bf283913cd634d4fd901"
-PINNED_CALLS_SHA256 = "7d6db2e20452a29fb31644a5748fdce1a991cdbd52f990930f7e28955ce96fc9"
+PINNED_CALLS_SHA256 = "e86250bb0c25ee12829ece4ed637f7d913cea15f9ef88a78c9f60ac5d34b074e"
 
 
 def _slots_digest(slots, enumeration_cap, policies=None):
