@@ -53,11 +53,24 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
+def _out_dir(args) -> Path | None:
+    """The ``--out`` directory, created before any run; one that cannot be
+    created is a usage error."""
+    if not args.out:
+        return None
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        args.parser.error(f"argument --out: {exc}")
+    return out
+
+
 def cmd_topology(args) -> int:
     cfg = _load(args)
     topo = replace(cfg.topology, seed=cfg.seed)
     graph = generate_waxman(topo, cfg.capacities)
-    degrees = [len(graph.neighbors(v)) for v in range(graph.node_count)]
+    degrees = [len(adj) for adj in graph.adjacency]
     if args.out:
         save_graph(graph, args.out)
         print(f"wrote {args.out}")
@@ -68,7 +81,7 @@ def cmd_topology(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    out = Path(args.out) if args.out else None
+    out = _out_dir(args)
     run_experiment(cfg, out)
     if out:
         print(f"wrote {out}/slots.csv, summary.csv, histogram.csv")
@@ -84,7 +97,7 @@ def cmd_sweep(args) -> int:
             _apply_sweep_value(cfg, args.param, value)
     except ValueError as exc:
         args.parser.error(f"argument --values: {exc}")
-    out = Path(args.out) if args.out else None
+    out = _out_dir(args)
     rows = sweep(cfg, args.param, values, out)
     for row in rows:
         print(f"{row['param']}={row['value']} {row['policy']}: "
@@ -122,7 +135,7 @@ def cmd_validate(args) -> int:
         start = int(rng.integers(graph.node_count))
         nodes = [start]
         while len(nodes) < 4:
-            nbrs = [n for n, _ in graph.neighbors(nodes[-1]) if n not in nodes]
+            nbrs = [n for n, _ in graph.adjacency[nodes[-1]] if n not in nodes]
             if not nbrs or (len(nodes) >= 2 and rng.random() < 0.4):
                 break
             nodes.append(int(rng.choice(nbrs)))

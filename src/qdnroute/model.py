@@ -120,7 +120,8 @@ class QdnGraph:
     p_edge: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # log of per-channel failure probability, cached for the allocator
     log_fail: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # node -> (neighbor, edge id) pairs sorted by neighbor id
+    # adjacency[v]: node v's (neighbor, edge id) pairs sorted by neighbor id,
+    # built once here; the candidate search walks neighbors in this order
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False)
     # (u, v) with u < v -> edge id
@@ -176,10 +177,6 @@ class QdnGraph:
     def edge_id(self, a: int, b: int) -> int:
         """Id of the edge joining nodes ``a`` and ``b``; KeyError if none does."""
         return self.edge_index[(a, b) if a < b else (b, a)]
-
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """(neighbor, edge id) pairs of node ``v``, sorted by neighbor id."""
-        return self.adjacency[v]
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
 """Per-slot route selection over the candidate product space.
 
 Two searchers share the allocator as their evaluation oracle: exhaustive
-enumeration for small product spaces, and a Gibbs sampler whose proposals
-flip one request's route at a time and are accepted with a logistic
-probability in the objective difference.  Infeasible joint selections score
-negative infinity so either searcher simply avoids them; so does a selection
-whose allocation solve fails to converge, so one bad combination cannot
-abort a run.  Both searches cut with one rule.  A combination must exceed a
-threshold: in exhaustive search under an uncapped objective, the
-incumbent's objective; for a Gibbs proposal, ``f_cur + gamma * ln(u / (1 -
-u))`` at its acceptance draw ``u``, which it exceeds with exactly the
-logistic probability.  ``allocate`` gets the threshold, lowered by a
-relative 1e-9, as its floor, and a combination whose certified bound lies
-below the floor is rejected without finishing its solve.  Each search
+enumeration of whatever product space it is given, and a Gibbs sampler
+whose proposals flip one request's route at a time and are accepted with a
+logistic probability in the objective difference; ``select_routes`` alone
+compares the space with the enumeration cap to pick one.  Infeasible joint
+selections score negative infinity so either searcher simply avoids them;
+so does a selection whose allocation solve fails to converge, so one bad
+combination cannot abort a run.  Both searches cut with one rule.  A
+combination must exceed a threshold: in exhaustive search under an uncapped
+objective, the incumbent's objective; for a Gibbs proposal, ``f_cur + gamma
+* ln(u / (1 - u))`` at its acceptance draw ``u``, which it exceeds with
+exactly the logistic probability.  ``allocate`` gets the threshold, lowered
+by a relative 1e-9, as its floor, and a combination whose certified bound
+lies below the floor is rejected without finishing its solve.  Each search
 builds one ``VariablePool`` and hands it to every allocator call, so a
 candidate route's variables are built, and a recurring constraint pricing
 is solved, once per search.  The pool keeps the multipliers of its best
@@ -23,6 +24,7 @@ from their routes' blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -51,17 +53,14 @@ _INIT_RETRIES = 100
 RouteSelection = dict[int, int]
 
 
-class EnumerationCapError(RuntimeError):
-    """The candidate product space is too large for exhaustive search."""
-
-
 class AllInfeasibleError(RuntimeError):
     """No joint route selection admits even the all-ones allocation."""
 
 
 @dataclass(frozen=True)
 class GibbsParams:
-    """Sampler controls: the temperature and the RNG seed.
+    """Sampler controls: the temperature and the RNG seed, an int >= 0 or a
+    non-empty list or tuple of them.
 
     The chain stops after ``_STABLE_WINDOW_PER_REQUEST`` (5) proposals per
     request without an accepted change, or after ``_MAX_ITERS_PER_REQUEST``
@@ -75,6 +74,11 @@ class GibbsParams:
         check_fields(self)
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+        words = self.seed if isinstance(self.seed, (list, tuple)) else [self.seed]
+        if not words or not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+                                and w >= 0 for w in words):
+            raise ValueError("seed must be an int >= 0 or a non-empty list of them, "
+                             f"got {self.seed!r}")
 
 
 def _threshold(u: float, f_cur: float, gamma: float) -> float:
@@ -101,7 +105,7 @@ def _space(requests: Sequence[SdRequest]) -> list[int]:
 
 
 def _evaluate(pool: VariablePool, requests: Sequence[SdRequest], choice: tuple[int, ...],
-              floor: float = -math.inf) -> tuple[Allocation | None, float]:
+              floor: float) -> tuple[Allocation | None, float]:
     """Allocate ``choice``'s routes through ``pool``; an infeasible or
     unconverged combination scores -inf."""
     routes = [req.candidates[c] for req, c in zip(requests, choice)]
@@ -114,10 +118,10 @@ def _evaluate(pool: VariablePool, requests: Sequence[SdRequest], choice: tuple[i
 def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
                       requests: Sequence[SdRequest],
                       params: PerSlotObjectiveParams,
-                      enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
                       ) -> tuple[RouteSelection, Allocation, float]:
-    """Search every route combination and return the best.
+    """Search every route combination, however many, and return the best.
 
+    ``select_routes`` alone weighs the space against the enumeration cap.
     Combinations are visited in lexicographic index order and ties break
     toward the first.  Under an uncapped objective, each combination after
     the first feasible one is handed to ``allocate`` with ``_floor`` of the
@@ -128,17 +132,10 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
     best solve, which is the incumbent, so a floored combination whose
     Lagrangian at them is below the floor is cut before its instance is
     built.  The result is the same as solving every combination, with one
-    ``allocate`` call per combination.  Raises EnumerationCapError when the
-    product space exceeds the cap, and AllInfeasibleError when no
+    ``allocate`` call per combination.  Raises AllInfeasibleError when no
     combination is feasible.
     """
     sizes = _space(requests)
-    space = math.prod(sizes)
-    if space > enumeration_cap:
-        raise EnumerationCapError(
-            f"{space} combinations exceed the cap of {enumeration_cap}; "
-            "use gibbs_select"
-        )
     # Capped objectives (MF, MA) pass no floor, though the floor is exact
     # for them too.  Passing it (perfbench paper-default, seed 0, one 36 s
     # run per side on 2 CPUs, same records digest f1625de79a70...) took
@@ -266,7 +263,9 @@ def select_routes(graph: QdnGraph, caps: SlotCapacities,
                   gibbs: GibbsParams | None = None,
                   enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
                   ) -> tuple[RouteSelection, Allocation, float]:
-    """Exhaustive search when the product space fits the cap, Gibbs otherwise."""
+    """Exhaustive search when the product space of candidate counts holds at
+    most ``enumeration_cap`` combinations, Gibbs otherwise; the only place
+    a route space is compared with the cap."""
     if math.prod(_space(requests)) <= enumeration_cap:
-        return exhaustive_select(graph, caps, requests, params, enumeration_cap)
+        return exhaustive_select(graph, caps, requests, params)
     return gibbs_select(graph, caps, requests, params, gibbs or GibbsParams())

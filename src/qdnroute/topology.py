@@ -61,6 +61,8 @@ class WaxmanParams:
             raise ValueError("alpha and beta must lie in (0, 1]")
         if not self.side > 0:
             raise ValueError("side must be positive")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         band = self.degree_band
         if band is None:
             return

@@ -104,7 +104,7 @@ def test_criterion_1_formula_suite():
         start_node = int(rng.integers(g.node_count))
         nodes = [start_node]
         while len(nodes) < 4:
-            nbrs = [x for x, _ in g.neighbors(nodes[-1]) if x not in nodes]
+            nbrs = [x for x, _ in g.adjacency[nodes[-1]] if x not in nodes]
             if not nbrs or (len(nodes) >= 2 and rng.random() < 0.5):
                 break
             nodes.append(int(rng.choice(nbrs)))
@@ -210,7 +210,7 @@ def test_criterion_4_relaxed_solver_accuracy():
             nodes = [start_node]
             target = int(rng.integers(2, 5))
             while len(nodes) <= target:
-                nbrs = [x for x, _ in g.neighbors(nodes[-1]) if x not in nodes]
+                nbrs = [x for x, _ in g.adjacency[nodes[-1]] if x not in nodes]
                 if not nbrs:
                     break
                 nodes.append(int(rng.choice(nbrs)))

@@ -238,7 +238,7 @@ class TestSolveRelaxedMultiVariable:
             nodes = [start]
             target = int(rng.integers(2, 5))
             while len(nodes) <= target:
-                nbrs = [n for n, _ in g.neighbors(nodes[-1]) if n not in nodes]
+                nbrs = [n for n, _ in g.adjacency[nodes[-1]] if n not in nodes]
                 if not nbrs:
                     break
                 nodes.append(int(rng.choice(nbrs)))

@@ -652,14 +652,25 @@ class TestCli:
         (["run", "--policy", "", "--out", "{out}"], "unknown policy ''"),
         (["sweep", "--param", "q0", "--values", "1", "--policy", "", "--out", "{out}"],
          "unknown policy ''"),
+        # rejected before the first trial runs, not after the last
+        (["run", "--trials", "1", "--policy", "OSCAR", "--out", "{taken}"],
+         "argument --out: [Errno 17] File exists: '{taken}'"),
+        (["run", "--trials", "1", "--policy", "OSCAR", "--out", "{taken}/out"],
+         "argument --out: [Errno 20] Not a directory: '{taken}/out'"),
+        (["sweep", "--param", "q0", "--values", "1,2", "--trials", "1", "--policy", "OSCAR",
+          "--out", "{taken}"], "argument --out: [Errno 17] File exists: '{taken}'"),
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, argv, why):
         files = {"bad_key": "nope: 1\n", "bad_type": "trials: 1.5\n", "bad_yaml": "seed: [\n",
                  "bad_cap": "enumeration_cap: -5\n"}
         for key, text in files.items():
             (tmp_path / f"{key}.yaml").write_text(text)
-        argv = [a.format(missing=tmp_path / "missing.yaml", out=tmp_path / "out",
-                         **{key: tmp_path / f"{key}.yaml" for key in files}) for a in argv]
+        (tmp_path / "taken").write_text("")
+        paths = {"missing": tmp_path / "missing.yaml", "out": tmp_path / "out",
+                 "taken": tmp_path / "taken",
+                 **{key: tmp_path / f"{key}.yaml" for key in files}}
+        argv = [a.format(**paths) for a in argv]
+        why = why.format(**paths)
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2

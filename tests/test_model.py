@@ -302,9 +302,10 @@ class TestTypes:
         # edges listed out of neighbor order at node 2
         g = QdnGraph((1,) * 4, (EdgeSpec(2, 3, 1, 0.5, 1), EdgeSpec(0, 2, 1, 0.5, 1),
                                 EdgeSpec(2, 1, 1, 0.5, 1)))
-        assert g.neighbors(2) == ((0, 1), (1, 2), (3, 0))
-        assert g.neighbors(0) == ((2, 1),)
-        assert g.neighbors(2) is g.neighbors(2)
+        assert g.adjacency[2] == ((0, 1), (1, 2), (3, 0))
+        assert g.adjacency[0] == ((2, 1),)
+        # one immutable tuple per node, stored with the graph
+        assert g.adjacency == (((2, 1),), ((2, 2),), ((0, 1), (1, 2), (3, 0)), ((2, 0),))
 
     def test_graph_rejects_bad_edges(self):
         with pytest.raises(ValueError):

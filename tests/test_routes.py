@@ -49,7 +49,7 @@ def enumerate_simple_paths(graph, s, d, max_hops):
             return
         if len(path) - 1 >= max_hops:
             return
-        for nbr, _ in graph.neighbors(tail):
+        for nbr, _ in graph.adjacency[tail]:
             if nbr not in path:
                 walk(path + [nbr])
 

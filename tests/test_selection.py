@@ -6,12 +6,15 @@ Core claims:
       acceptance probability at every positive draw the generator can make;
       at u = 0 the threshold is -inf
     - exhaustive search returns the true maximizer with lexicographic ties
-      and raises on oversized spaces or fully infeasible instances
+      and raises on fully infeasible instances
     - Gibbs search is deterministic per seed, always returns a feasible
       allocation, and at low temperature finds the exhaustive optimum on
       enumerable instances
-    - the auto selector dispatches on the product-space size
-    - a zero sampler temperature, an empty request list and a request with
+    - the auto selector dispatches on the product-space size: a space of at
+      most the cap gets exhaustive search's result, a larger one Gibbs
+      search's, bit for bit, infeasibility included
+    - a zero sampler temperature, a sampler seed that is not an int >= 0 or
+      a non-empty list of them, an empty request list and a request with
       no candidate are rejected with a message; a zero acceptance draw
       solves a proposal at no floor and keeps it if feasible; a route over
       a slot capacity of 0 scores as infeasible at zero price, so the
@@ -41,6 +44,7 @@ Core claims:
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal
 from itertools import product
@@ -79,7 +83,6 @@ from qdnroute.model import (
 from qdnroute.routes import CandidateCache, RouteConfig, SdRequest, build_requests
 from qdnroute.selection import (
     AllInfeasibleError,
-    EnumerationCapError,
     GibbsParams,
     exhaustive_select,
     gibbs_select,
@@ -173,12 +176,6 @@ class TestExhaustive:
         reqs = [SdRequest(0, 0, 1, (route0,)), SdRequest(1, 0, 1, (route1,))]
         with pytest.raises(AllInfeasibleError):
             exhaustive_select(g, caps, reqs, PerSlotObjectiveParams(V=1.0))
-
-    def test_enumeration_cap(self):
-        g, caps, reqs = two_route_request()
-        with pytest.raises(EnumerationCapError):
-            exhaustive_select(g, caps, reqs, PerSlotObjectiveParams(V=1.0),
-                              enumeration_cap=1)
 
     def test_matches_brute_force_evaluation(self):
         rng = np.random.default_rng(11)
@@ -283,19 +280,44 @@ class TestAutoSelect:
                                       enumeration_cap=1)
         assert alloc is not None
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans(),
+           duplicate=st.booleans(), offset=st.sampled_from([-1, 0, 1]))
+    def test_cap_boundary(self, seed, capped, free, duplicate, offset):
+        # A space of exactly the cap is enumerated; one past it goes to Gibbs.
+        g, caps, reqs, params = floor_instance(np.random.default_rng(seed), capped,
+                                               free, duplicate)
+        gibbs_params = GibbsParams(gamma=1.0, seed=seed)
+        cap = math.prod(len(r.candidates) for r in reqs) + offset
+
+        def outcome(search, *args):
+            try:
+                sel, alloc, f = search(g, caps, reqs, params, *args)
+            except AllInfeasibleError:
+                return None
+            return sel, sorted(alloc.items()), f.hex()
+
+        want = (outcome(exhaustive_select) if offset >= 0
+                else outcome(gibbs_select, gibbs_params))
+        assert outcome(select_routes, gibbs_params, cap) == want
+
 
 class TestInputChecks:
     @pytest.mark.parametrize("call, message", [
         (lambda g, caps, reqs, params: GibbsParams(gamma=0.0), "gamma must be positive"),
+        *((lambda g, caps, reqs, params, seed=seed: GibbsParams(seed=seed),
+           f"seed must be an int >= 0 or a non-empty list of them, got {seed!r}")
+          for seed in (True, [], -1, 1.5, "x", [1, -2], (3, True))),
         (lambda g, caps, reqs, params: select_routes(g, caps, [], params),
          "no requests to select routes for"),
         (lambda g, caps, reqs, params: select_routes(
             g, caps, reqs + [SdRequest(1, 0, 2, ())], params),
          "every request needs at least one candidate route"),
-    ], ids=["gamma=0", "no request", "no candidate"])
+    ], ids=["gamma=0", "seed=True", "seed=[]", "seed=-1", "seed=1.5", "seed='x'",
+            "seed=[1, -2]", "seed=(3, True)", "no request", "no candidate"])
     def test_rejected_with_message(self, call, message):
         g, caps, reqs = two_route_request()
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(g, caps, reqs, PerSlotObjectiveParams(V=1.0))
 
     def test_zero_draw_rejects_nothing(self, monkeypatch):
@@ -704,10 +726,10 @@ def test_exhaustive_work_pinned(monkeypatch):
     spaces, calls = [], []
     work = {"cut before coupling": 0, "coupled": 0, "solved": 0}
 
-    def searching(graph, caps, requests, params, *args):
+    def searching(graph, caps, requests, params):
         spaces.append(math.prod(len(r.candidates) for r in requests))
         calls.append(0)
-        return exhaustive_select(graph, caps, requests, params, *args)
+        return exhaustive_select(graph, caps, requests, params)
 
     def counting(graph, caps, routes, params, floor=-math.inf, pool=None):
         calls[-1] += 1

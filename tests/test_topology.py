@@ -19,6 +19,8 @@ Core claims:
     - request sampling gives distinct ordered pairs with the configured
       count distribution, deterministic in (seed, t)
     - the generation error names the degree band when one is set
+    - a bad node count, alpha, beta, side or seed is rejected with a message
+      when the parameters are built
     - a written graph document holds every node and edge field, with one
       top-level attempts value when all edges share it and a per-edge one
       otherwise
@@ -74,7 +76,7 @@ def test_connected_and_in_range():
         seen = {0}
         stack = [0]
         while stack:
-            for nbr, _ in g.neighbors(stack.pop()):
+            for nbr, _ in g.adjacency[stack.pop()]:
                 if nbr not in seen:
                     seen.add(nbr)
                     stack.append(nbr)
@@ -147,6 +149,19 @@ def test_unreachable_degree_band_rejected(node_count, band, achievable):
     # these used to burn every generation draw before failing
     with pytest.raises(ValueError, match=re.escape(f"degree_band {band} misses {achievable}")):
         WaxmanParams(node_count=node_count, degree_band=band)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"node_count": 1}, "node_count must be >= 2"),
+    ({"alpha": 0.0}, "alpha and beta must lie in (0, 1]"),
+    ({"beta": 1.5}, "alpha and beta must lie in (0, 1]"),
+    ({"side": 0.0}, "side must be positive"),
+    # rejected when built, not inside numpy at generation
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_bad_params_rejected(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WaxmanParams(**fields)
 
 
 def test_band_between_achievable_degrees_rejected():
