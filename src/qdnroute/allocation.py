@@ -110,12 +110,11 @@ class _Variables:
 
     ``ends`` holds each variable's edge endpoints, ``hi`` its box, and
     ``theta_one`` the price above which its unclamped stationary point
-    drops to 1.  ``x0`` and ``slope0`` are its box-clamped maximizer and
-    slope at price ``q`` (all multipliers zero: the dual solve's start).
+    drops to 1.  ``x0`` is its box-clamped maximizer at price ``q`` (all
+    multipliers zero): the dual solve's start, which needs no slopes.
     """
 
-    __slots__ = ("V", "q", "keys", "ends", "lna", "vlna", "hi", "theta_one",
-                 "x0", "slope0")
+    __slots__ = ("V", "q", "keys", "ends", "lna", "vlna", "hi", "theta_one", "x0")
 
     def _load(self, members: Sequence[int], theta: list[float], shift: float,
               x: list[float], slope: list[float]) -> tuple[float, float]:
@@ -205,8 +204,8 @@ class _Block(_Variables):
             self.theta_one.append(-V * lna * a / (1.0 - a))
         n = len(eids)
         theta = [self.q] * n
-        self.x0, self.slope0 = [0.0] * n, [0.0] * n
-        self._load(range(n), theta, 0.0, self.x0, self.slope0)
+        self.x0 = [0.0] * n
+        self._load(range(n), theta, 0.0, self.x0, [0.0] * n)
         self.zero = self._value(self.x0, theta)[0]
 
     def lagrangian_part(self, table: dict[tuple[int, int], tuple[int, float]]
@@ -367,7 +366,7 @@ class _Instance(_Variables):
                 raise DominatedError(bound)
 
         self.keys, self.ends, self.lna, self.vlna, self.hi = [], [], [], [], []
-        self.theta_one, self.x0, self.slope0 = [], [], []
+        self.theta_one, self.x0 = [], []
         for b in blocks:
             self.keys += b.keys
             self.ends += b.ends
@@ -376,7 +375,6 @@ class _Instance(_Variables):
             self.hi += b.hi
             self.theta_one += b.theta_one
             self.x0 += b.x0
-            self.slope0 += b.slope0
 
         cost_cap = pool.params.cost_cap
         if cost_cap is not None and len(self.keys) > cost_cap:
@@ -446,13 +444,14 @@ class _Instance(_Variables):
 
         Safeguarded Newton on the monotone load curve over [0, the price
         that floors every member].  ``theta`` includes the multiplier at
-        ``old``, where ``x`` and ``slope`` hold the members' values.  When
-        the returned multiplier differs from ``old``, ``trial_x`` and
-        ``trial_slope`` hold the members' values at it.  A search from a
-        zero multiplier over a constraint that leaves some variable out
-        depends only on the cap and the members' keys and prices, and
-        recurs across a slot's route combinations, so the pool keeps its
-        result; one over every variable recurs only with its combination.
+        ``old``, where ``x`` holds the members' values and, read only if
+        ``old > 0``, ``slope`` their slopes.  When the returned multiplier
+        differs from ``old``, ``trial_x`` and ``trial_slope`` hold the
+        members' values at it.  A search from a zero multiplier over a
+        constraint that leaves some variable out depends only on the cap
+        and the members' keys and prices, and recurs across a slot's route
+        combinations, so the pool keeps its result; one over every variable
+        recurs only with its combination.
         """
         key = None
         if old == 0.0 and len(members) < len(self.keys):
@@ -515,10 +514,10 @@ class _Instance(_Variables):
         end the solve with the best projected point seen, or with
         NoConvergenceError when the last gap exceeds a relative 1e-3.
 
-        The maximizer ``x`` of every variable at its current price
-        ``theta`` and its slope are kept as state, refreshed only for the
-        members of a constraint whose multiplier moved; loads at a
-        multiplier's current value are then sums over that state.
+        State: ``x`` holds every variable's maximizer at its price ``theta``,
+        so a load at a multiplier's current value sums it.  A multiplier
+        move rewrites its members' ``x`` and slope, so a member's slope is
+        current wherever ``_meet_cap`` reads it, at a multiplier above 0.
 
         Raises DominatedError as soon as the dual value at the end of a
         sweep, a certified upper bound on the relaxed optimum, falls below
@@ -529,7 +528,7 @@ class _Instance(_Variables):
         update_cap = _MAX_MULTIPLIER_UPDATES
         n = len(self.keys)
         theta = [self.q] * n
-        x, slope = self.x0[:], self.slope0[:]
+        x, slope = self.x0[:], [0.0] * n
         # Member values at a constraint's new multiplier.
         trial_x, trial_slope = [0.0] * n, [0.0] * n
         floor = self.floor

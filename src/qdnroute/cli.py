@@ -53,14 +53,17 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(args) -> Path | None:
-    """The ``--out`` directory, created before any run; one that cannot be
-    created is a usage error."""
+def _out_dir(args, file: bool = False) -> Path | None:
+    """The ``--out`` directory, or with ``file`` the directory of the
+    ``--out`` file, created before any work; one that cannot be created, or
+    a file path that names a directory, is a usage error."""
     if not args.out:
         return None
     out = Path(args.out)
+    if file and out.is_dir():
+        args.parser.error(f"argument --out: {args.out} is a directory")
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        (out.parent if file else out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         args.parser.error(f"argument --out: {exc}")
     return out
@@ -68,6 +71,7 @@ def _out_dir(args) -> Path | None:
 
 def cmd_topology(args) -> int:
     cfg = _load(args)
+    _out_dir(args, file=True)
     topo = replace(cfg.topology, seed=cfg.seed)
     graph = generate_waxman(topo, cfg.capacities)
     degrees = [len(adj) for adj in graph.adjacency]

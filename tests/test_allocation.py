@@ -28,6 +28,12 @@ Core claims:
       checked; the error's message names its bound and survives pickling;
       a pool whose kept table prices the budget cuts before the join a call
       that a fresh pool's zero-multiplier bound leaves to the dual solve
+    - whenever the dual solve starts a Newton search, the members' x equal
+      a fresh evaluation at their current prices bit for bit, and from a
+      positive multiplier so do their slopes
+    - each block's zero-multiplier bound and its Lagrangian part at a
+      random table match a per-edge sum at the bisection root, and the
+      part names exactly the bits of the priced sites the block touches
     - when the safeguarded Newton search runs out of steps, the trial
       values it leaves are those at the multiplier it returns; a solve
       that ends on a sweep moving no multiplier returns the best projected
@@ -430,7 +436,7 @@ class TestFallbackExits:
             theta = [inst.q] * n
             for members, cap in inst.constraints:
                 trial_x, trial_slope = [0.0] * n, [0.0] * n
-                nu = inst._meet_cap(members, cap, theta, 0.0, inst.x0, inst.slope0,
+                nu = inst._meet_cap(members, cap, theta, 0.0, inst.x0, [0.0] * n,
                                     trial_x, trial_slope)
                 want_x, want_slope = [0.0] * n, [0.0] * n
                 inst._load(members, theta, nu, want_x, want_slope)
@@ -831,3 +837,89 @@ class TestVariablePool:
         route = Route.from_nodes(g, [0, 1, 2], request_id=0)
         with pytest.raises(ValueError, match=f"^{message}$"):
             allocate(g, SlotCapacities(q_caps, w_caps), [route], PerSlotObjectiveParams(V=1.0))
+
+
+class TestSolveState:
+    @pytest.mark.parametrize("capped, free", list(product((False, True), repeat=2)))
+    def test_meet_cap_reads_current_values(self, monkeypatch, capped, free):
+        # Every search sees its members' x at their current prices and, when
+        # it starts from a positive multiplier, their slopes there too: the
+        # solve starts with zero slopes, and each multiplier move rewrites
+        # its members' x and slopes.  Fresh pools and one slot-wide pool,
+        # whose kept table and pricings carry across calls; no floor, then
+        # the slot's best objective as an exhaustive search's incumbent.
+        priced = []  # per search from a positive multiplier: any member sloped?
+        meet_cap = _Instance._meet_cap
+
+        def checked(inst, members, cap, theta, old, x, slope, *trial):
+            want_x, want_slope = [0.0] * len(x), [0.0] * len(x)
+            inst._load(members, theta, 0.0, want_x, want_slope)
+            assert [x[i].hex() for i in members] == [want_x[i].hex() for i in members]
+            if old > 0.0:
+                assert ([slope[i].hex() for i in members]
+                        == [want_slope[i].hex() for i in members])
+                priced.append(any(want_slope[i] for i in members))
+            return meet_cap(inst, members, cap, theta, old, x, slope, *trial)
+
+        monkeypatch.setattr(_Instance, "_meet_cap", checked)
+        rng = np.random.default_rng(101)
+        kept_tables = 0
+        for _ in range(12):
+            g, caps, reqs, params = slot_instance(rng, capped, free)
+            combos = [[r.candidates[c] for r, c in zip(reqs, choice)]
+                      for choice in product(*(range(len(r.candidates)) for r in reqs))]
+            pool = VariablePool(g, caps, params)
+            floor = -math.inf
+            for _ in range(2):
+                for routes in combos:
+                    _outcome(lambda: allocate(g, caps, routes, params, floor=floor))
+                    kept_tables += pool._table is not None
+                    _outcome(lambda: allocate(g, caps, routes, params, floor=floor,
+                                              pool=pool))
+                floor = pool.best
+        assert kept_tables > 0 and sum(priced) >= 100
+
+
+class TestBlockParts:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans())
+    def test_match_stationarity_oracle(self, seed, capped, free):
+        # Each block's zero-multiplier bound and its Lagrangian part at a
+        # random table, against the per-edge maximum at the bisection root.
+        # The table prices a random share of every node, edge and the
+        # budget, so some priced sites lie off the block.
+        rng = np.random.default_rng(seed)
+        g, caps, routes, params = random_allocation_instance(rng, with_cost_cap=capped)
+        if free:
+            params = replace(params, q=0.0)
+        sites = [(0, u) for u in range(g.node_count)]
+        sites += [(1, e) for e in range(g.edge_count)] + [(2, 0)]
+        table = {}
+        for site in sites:
+            if rng.random() < 0.5:
+                mu = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, params.V))
+                table[site] = (1 << len(table), mu)
+        pool = VariablePool(g, caps, params)
+
+        def oracle(route, priced):
+            value, bits = 0.0, 0
+            for eid in route.edges:
+                e = g.edges[eid]
+                theta = params.q
+                for site in ((0, e.u), (0, e.v), (1, eid), (2, 0)):
+                    if site in priced:
+                        bits |= priced[site][0]
+                        theta += priced[site][1]
+                p = g.p_edge[eid]
+                hi = min(caps.w_caps[eid], caps.q_caps[e.u], caps.q_caps[e.v])
+                x = stationarity_root(p, params.V, theta, hi)
+                value += params.V * math.log1p(-(1.0 - p) ** x) - theta * x
+            return value, bits
+
+        for route in routes:
+            block = pool.block(route)
+            assert block.zero == approx(oracle(route, {})[0], rel=1e-9)
+            part, touched = block.lagrangian_part(table)
+            want, bits = oracle(route, table)
+            assert part == approx(want, rel=1e-9)
+            assert touched == bits

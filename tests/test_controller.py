@@ -12,11 +12,15 @@ Core claims:
     - the feasibility assumption check is exact arithmetic
     - run_slot rejects an unknown policy with a ValueError naming the
       known ones
+    - bad budget parameters, a bad controller state, an MA slot past the
+      horizon and bad inputs to the theorem bounds are rejected with a
+      message; the Theorem-1 bound is 0 at zero drift
     - run_slot refuses to commit an allocation that breaks a capacity or
       the slot's cost cap
 """
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -216,6 +220,10 @@ class TestBounds:
         assert 0.0 <= small < 1e-6
         assert theorem1_rhs(1e12, 200, 100.0) < small
 
+    def test_theorem1_zero_drift(self):
+        assert theorem1_rhs(0.0, 10, 0.0) == 0.0
+        assert theorem1_rhs(5.0, 10, 0.0) == 0.0
+
     def test_theorem1_zero_queue_specialization(self):
         D, T = 7.3, 50
         assert theorem1_rhs(0.0, T, D) == approx(math.sqrt(2 * D / T), rel=1e-12)
@@ -256,3 +264,25 @@ class TestBounds:
     def test_max_slot_cost(self):
         g = QdnGraph((5, 5, 5), (EdgeSpec(0, 1, 4, 0.5, 1), EdgeSpec(1, 2, 7, 0.5, 1)))
         assert max_slot_cost(g) == 11
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BudgetParams(0, 10, V=1.0), "total_budget must be positive"),
+        (lambda: BudgetParams(100, 0, V=1.0), "horizon must be >= 1"),
+        (lambda: BudgetParams(100, 10, V=0.0), "V must be positive"),
+        (lambda: BudgetParams(100, 10, V=1.0, q0=-1.0), "q0 must be >= 0"),
+        (lambda: ControllerState(0.0, policy="FOO"), "unknown policy 'FOO'"),
+        (lambda: ControllerState(-1.0), "queue length must be >= 0"),
+        (lambda: run_slot("MA", *small_world(), ControllerState(0.0, slot=2, policy="MA"),
+                          BudgetParams(100, 2, V=1.0)),
+         "controller ran past its horizon"),
+        (lambda: theorem1_rhs(-1.0, 10, 1.0), "q0, horizon, and drift bound must be nonnegative"),
+        (lambda: theorem1_rhs(0.0, 0, 1.0), "q0, horizon, and drift bound must be nonnegative"),
+        (lambda: theorem1_rhs(0.0, 10, -1.0), "q0, horizon, and drift bound must be nonnegative"),
+        (lambda: theorem2_gap(0.0, 0.0, 10, 1.0, 1.0), "V must be positive"),
+    ], ids=["total_budget=0", "horizon=0", "V=0", "q0<0", "unknown policy", "q<0",
+            "MA past horizon", "theorem1 q0<0", "theorem1 T=0", "theorem1 D<0", "theorem2 V=0"])
+    def test_rejected_with_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

@@ -28,9 +28,10 @@ Core claims:
       the CLI reports a bad --values entry as a usage error
     - the CLI subcommands run end to end, and topology --out creates its
       directory as run --out does; a bad config file or override
-      (seed, trials, policy, an empty policy list, workers) and a validate
-      --samples or --instances below 1 are usage errors (exit 2), not
-      tracebacks
+      (seed, trials, policy, an empty policy list, workers), a validate
+      --samples or --instances below 1, and an --out that cannot be written
+      (topology's a directory or under a file) are usage errors (exit 2),
+      not tracebacks, and write nothing
 """
 
 import csv
@@ -659,6 +660,10 @@ class TestCli:
          "argument --out: [Errno 20] Not a directory: '{taken}/out'"),
         (["sweep", "--param", "q0", "--values", "1,2", "--trials", "1", "--policy", "OSCAR",
           "--out", "{taken}"], "argument --out: [Errno 17] File exists: '{taken}'"),
+        # rejected before the graph is generated, not by the write after it
+        (["topology", "--out", "{dir}"], "argument --out: {dir} is a directory"),
+        (["topology", "--out", "{taken}/g.json"],
+         "argument --out: [Errno 17] File exists: '{taken}'"),
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, argv, why):
         files = {"bad_key": "nope: 1\n", "bad_type": "trials: 1.5\n", "bad_yaml": "seed: [\n",
@@ -666,16 +671,18 @@ class TestCli:
         for key, text in files.items():
             (tmp_path / f"{key}.yaml").write_text(text)
         (tmp_path / "taken").write_text("")
+        (tmp_path / "dir").mkdir()
         paths = {"missing": tmp_path / "missing.yaml", "out": tmp_path / "out",
-                 "taken": tmp_path / "taken",
+                 "taken": tmp_path / "taken", "dir": tmp_path / "dir",
                  **{key: tmp_path / f"{key}.yaml" for key in files}}
         argv = [a.format(**paths) for a in argv]
         why = why.format(**paths)
+        before = sorted(tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
         assert why in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_sweep_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -12,6 +12,10 @@ Core claims:
     - Monte-Carlo estimates agree with the analytic probabilities within
       3-sigma binomial bounds
     - graph construction rejects malformed inputs and normalizes endpoints
+    - a graph without nodes or with negative capacities, a one-node route,
+      a link probability outside (0, 1] and fewer than one Monte-Carlo
+      sample are rejected with a message; a saturated link succeeds with
+      probability 1
     - an allocation takes integral counts of at least 1, numpy integers
       included, and rejects a bool, a fraction, a NaN or an infinity with
       its own ValueError
@@ -116,6 +120,10 @@ class TestEdgeSuccessProb:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             edge_success_prob(0.5, 0.5)
+
+    def test_saturated_link(self):
+        assert edge_success_prob(1.0, 1) == 1.0
+        assert edge_success_prob(1.0, 2.5) == 1.0
 
 
 class TestRouteSuccessProb:
@@ -335,3 +343,22 @@ class TestTypes:
         # numpy integers and integral floats are counts too, stored as int
         a = Allocation({(0, 0): np.int64(3), (0, 1): np.int32(1), (0, 2): 2.0})
         assert [type(n) for _, n in a.items()] == [int] * 3 and a.cost == 6
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: QdnGraph((), ()), "graph needs at least one node"),
+        (lambda: QdnGraph((1, -1), ()), "qubit capacities must be >= 0"),
+        (lambda: QdnGraph((1, 1), (EdgeSpec(0, 1, -1, 0.5, 1),)),
+         "channel capacity must be >= 0"),
+        (lambda: Route.from_nodes(path_graph([0.5]), [0]), "a route needs at least two nodes"),
+        (lambda: edge_success_prob(0.0, 1), "p_e must lie in (0, 1], got 0.0"),
+        (lambda: edge_success_prob(1.5, 1), "p_e must lie in (0, 1], got 1.5"),
+        (lambda: monte_carlo_route_success(
+            path_graph([0.5]), Route.from_nodes(path_graph([0.5]), [0, 1], request_id=0),
+            Allocation({(0, 0): 1}), 0, seed=0), "samples must be >= 1"),
+    ], ids=["no node", "negative qubits", "negative channels", "one-node route",
+            "p_e=0", "p_e>1", "samples=0"])
+    def test_rejected_with_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

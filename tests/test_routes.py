@@ -11,12 +11,14 @@ Core claims:
     - candidate sets on the default topologies and a 100-node one match a
       recorded digest, and every candidate's edge ids, built in the walk,
       are the ones ``Route.from_nodes`` finds for its nodes
-    - an endpoint outside the graph's nodes raises ValueError
+    - an endpoint outside the graph's nodes raises ValueError, and a
+      candidate or hop limit below 1 is rejected with a message
     - the cache looks up ``routes.candidate_routes`` once per new pair and
       never on a hit, through the module attribute a tracer can wrap
 """
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +93,14 @@ def test_endpoint_outside_graph_rejected(s, d):
     g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError, match=r"0\.\.3"):
         candidate_routes(g, s, d, RouteConfig())
+
+
+@pytest.mark.parametrize("fields", [{"max_candidates": 0}, {"max_hops": 0}],
+                         ids=["max_candidates=0", "max_hops=0"])
+def test_bad_route_config_rejected(fields):
+    message = "max_candidates and max_hops must be >= 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RouteConfig(**fields)
 
 
 def random_graph(rng, n):

@@ -20,7 +20,9 @@ Core claims:
       count distribution, deterministic in (seed, t)
     - the generation error names the degree band when one is set
     - a bad node count, alpha, beta, side or seed is rejected with a message
-      when the parameters are built
+      when the parameters are built, as are bad capacity ranges, fluctuation
+      mode, attempt probability and count, and a bad SD-pair range; request
+      sampling rejects a graph of fewer than 2 nodes
     - a written graph document holds every node and edge field, with one
       top-level attempts value when all edges share it and a per-edge one
       otherwise
@@ -162,6 +164,26 @@ def test_unreachable_degree_band_rejected(node_count, band, achievable):
 def test_bad_params_rejected(fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         WaxmanParams(**fields)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CapacityDistributions(qubit_range=(0, 5)),
+     "capacity range [0, 5] must satisfy 1 <= lo <= hi"),
+    (lambda: CapacityDistributions(channel_range=(5, 3)),
+     "capacity range [5, 3] must satisfy 1 <= lo <= hi"),
+    (lambda: CapacityDistributions(fluctuation="wobble"), "unknown fluctuation mode 'wobble'"),
+    (lambda: CapacityDistributions(p_attempt=0.0), "p_attempt must lie in (0, 1)"),
+    (lambda: CapacityDistributions(p_attempt=1.0), "p_attempt must lie in (0, 1)"),
+    (lambda: CapacityDistributions(attempts=0), "attempts must be >= 1"),
+    (lambda: WorkloadParams(sd_range=(3, 2)), "sd_range [3, 2] must satisfy 0 <= lo <= hi"),
+    (lambda: WorkloadParams(sd_range=(1, 6)), "sd_range upper bound exceeds f_max"),
+    (lambda: sample_requests(QdnGraph((1,), ()), WorkloadParams(), 0, 0),
+     "need at least 2 nodes to sample SD pairs"),
+], ids=["qubit_range lo=0", "channel_range lo>hi", "fluctuation", "p_attempt=0",
+        "p_attempt=1", "attempts=0", "sd_range lo>hi", "sd_range over f_max", "one node"])
+def test_bad_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_band_between_achievable_degrees_rejected():
