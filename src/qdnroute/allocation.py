@@ -26,6 +26,14 @@ at the kept multipliers (by weak duality, each bounds every combination).
 A combination whose bound lies below the floor is cut before its blocks
 are joined; this is the one bound checked before the dual solve, whose
 sweeps then check their own.
+
+Each dual solve starts from the kept multipliers: a constraint whose site
+the table prices starts at its kept value, every other one at zero.  A
+warm solve stops by the same duality-gap rule as a cold one, so both end
+within that gap of the relaxed optimum, though not always at the same
+point.  Rounding counts a relaxed value within ``_SNAP_TOL`` below an
+integer as that integer, so the two round alike unless the two values of
+some variable stop on opposite sides of such a threshold.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .model import (
 )
 
 _GAP_TOL = 1e-6
+_SNAP_TOL = 1e-4
 _MAX_MULTIPLIER_UPDATES = 10_000
 _NEWTON_STEPS = 60
 
@@ -111,7 +120,7 @@ class _Variables:
     ``ends`` holds each variable's edge endpoints, ``hi`` its box, and
     ``theta_one`` the price above which its unclamped stationary point
     drops to 1.  ``x0`` is its box-clamped maximizer at price ``q`` (all
-    multipliers zero): the dual solve's start, which needs no slopes.
+    multipliers zero): a cold dual solve's start, which needs no slopes.
     """
 
     __slots__ = ("V", "q", "keys", "ends", "lna", "vlna", "hi", "theta_one", "x0")
@@ -252,7 +261,8 @@ class VariablePool:
     multipliers of the pool's best solve so far: by weak duality, the
     Lagrangian at any nonnegative multipliers bounds it, whichever
     combination they were solved for.  ``best`` is that solve's objective,
-    -inf before the first.
+    -inf before the first.  Every later solve through the pool starts from
+    that table, so the calls of a search warm-start each other.
     """
 
     __slots__ = ("graph", "caps", "params", "_blocks", "pricings", "best",
@@ -337,8 +347,10 @@ class _Instance(_Variables):
     request-id order.  Constraints couple them through the loads of nodes
     ``(0, u)``, edges ``(1, e)`` and the optional budget ``(2, 0)``, the
     sites that ``sites`` names; constraints that cannot bind under the
-    boxes are dropped.  ``nu`` holds their multipliers once
-    ``solve_relaxed`` has run.
+    boxes are dropped.  ``warm`` is the pool's table when the instance was
+    built (empty without one): ``solve_relaxed`` starts each constraint
+    whose site it prices at the kept multiplier.  ``nu`` holds the
+    multipliers once ``solve_relaxed`` has run.
 
     With a ``floor``, capped or uncapped, an instance whose bound from the
     pool's ``lagrangian_bound`` lies below it raises DominatedError before
@@ -347,7 +359,7 @@ class _Instance(_Variables):
     ``_meet_cap``'s pricings from zero multipliers.
     """
 
-    __slots__ = ("constraints", "sites", "nu", "floor", "pricings")
+    __slots__ = ("constraints", "sites", "nu", "floor", "pricings", "warm")
 
     def __init__(self, routes: Sequence[Route], pool: VariablePool,
                  floor: float = -math.inf):
@@ -358,6 +370,7 @@ class _Instance(_Variables):
                 raise ValueError("duplicate (request, edge) variable; one route per request")
             last = b.request_id
         self.pricings = pool.pricings
+        self.warm = pool._table[0] if pool._table is not None else {}
         self.V, self.q = pool.params.V, pool.params.q
         self.floor = floor
         if floor > -math.inf:
@@ -503,21 +516,25 @@ class _Instance(_Variables):
     def solve_relaxed(self) -> tuple[list[float], float]:
         """Maximize the relaxed objective by dual decomposition.
 
-        One nonnegative multiplier per coupling constraint; the Lagrangian
-        separates into per-variable concave problems with closed-form
-        solutions.  The dual is minimized by cyclic exact updates: each
-        multiplier moves to where its constraint's load meets its cap (or
-        to zero when slack), via safeguarded Newton steps on the monotone
-        load curve.  Terminates when the relative duality gap of the
-        feasibility-projected primal drops below ``_GAP_TOL``.  A sweep
-        that moves no multiplier, or ``_MAX_MULTIPLIER_UPDATES`` updates,
-        end the solve with the best projected point seen, or with
-        NoConvergenceError when the last gap exceeds a relative 1e-3.
+        One nonnegative multiplier per coupling constraint, starting at
+        ``warm``'s kept value for a site the table prices and at zero
+        otherwise; the Lagrangian separates into per-variable concave
+        problems with closed-form solutions.  The dual is minimized by
+        cyclic exact updates: each multiplier moves to where its
+        constraint's load meets its cap (or to zero when slack), via
+        safeguarded Newton steps on the monotone load curve.  Terminates
+        when the relative duality gap of the feasibility-projected primal
+        drops below ``_GAP_TOL``.  A sweep that moves no multiplier, or
+        ``_MAX_MULTIPLIER_UPDATES`` updates, end the solve with the best
+        projected point seen, or with NoConvergenceError when the last gap
+        exceeds a relative 1e-3.
 
         State: ``x`` holds every variable's maximizer at its price ``theta``,
-        so a load at a multiplier's current value sums it.  A multiplier
-        move rewrites its members' ``x`` and slope, so a member's slope is
-        current wherever ``_meet_cap`` reads it, at a multiplier above 0.
+        so a load at a multiplier's current value sums it.  A cold start
+        copies ``x0`` and needs no slopes; a warm one computes ``x`` and
+        the slopes at the warm prices.  A multiplier move rewrites its
+        members' ``x`` and slope, so a member's slope is current wherever
+        ``_meet_cap`` reads it, at a multiplier above 0.
 
         Raises DominatedError as soon as the dual value at the end of a
         sweep, a certified upper bound on the relaxed optimum, falls below
@@ -529,10 +546,18 @@ class _Instance(_Variables):
         n = len(self.keys)
         theta = [self.q] * n
         x, slope = self.x0[:], [0.0] * n
+        nu = self.nu = [0.0] * len(self.constraints)
+        warm = self.warm
+        for ci, site in enumerate(self.sites):
+            if site in warm:  # start at the pool's kept multiplier
+                mu = nu[ci] = warm[site][1]
+                for i in self.constraints[ci][0]:
+                    theta[i] += mu
+        if any(nu):  # x and the slopes at the warm prices
+            self._load(range(n), theta, 0.0, x, slope)
         # Member values at a constraint's new multiplier.
         trial_x, trial_slope = [0.0] * n, [0.0] * n
         floor = self.floor
-        nu = self.nu = [0.0] * len(self.constraints)
         updates = 0
         best_x: list[float] | None = None
         best_f = -math.inf
@@ -597,6 +622,13 @@ class _Instance(_Variables):
     def round_down_and_fill(self, x: Sequence[float]) -> list[int]:
         """Floor the relaxed point, then add +1 surplus greedily.
 
+        A value within ``_SNAP_TOL`` below an integer floors to that
+        integer: a dual solve, warm or cold, stops anywhere in its gap band,
+        and a relaxed optimum at an integer, as at a binding cap, would
+        otherwise floor to it or to one less by where the solve stopped.
+        Caps are integers, so a feasible relaxed point stays feasible while
+        no constraint has ``1 / _SNAP_TOL`` members.
+
         Each increment goes to the feasible variable with the largest
         positive marginal gain ``V*(ln P(n+1) - ln P(n)) - q``; ties break
         toward the smallest (request, edge) key.  Increments stop when no
@@ -611,7 +643,7 @@ class _Instance(_Variables):
             for i in members:
                 cons_of_var[i].append(ci)
         caps = [cap for _, cap in self.constraints]
-        counts = [max(1, math.floor(xi + 1e-9)) for xi in x]
+        counts = [max(1, math.floor(xi + _SNAP_TOL)) for xi in x]
         loads = [sum(counts[i] for i in members) for members, _ in self.constraints]
         if (any(load > cap for load, cap in zip(loads, caps))
                 or any(c > h for c, h in zip(counts, self.hi))):
@@ -660,8 +692,14 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     whose objective beats every earlier one through the pool leaves its
     final multipliers there; a later call whose bound at them is below
     ``floor`` raises DominatedError with that bound, before its capacities
-    are checked.  Otherwise a call returns or raises the same with or
-    without a pool.
+    are checked, and otherwise starts its dual solve from them.  So a
+    pooled call may be cut where an unpooled one is not, by a bound that is
+    still at least the relaxed optimum, or, against a floor within the
+    duality gap of that optimum, not cut where an unpooled one is.
+    Otherwise both give the same kind of outcome; where both return, their
+    relaxed objectives agree within the gap, and rounding's snap gives
+    them the same bits unless the two values of some variable stop on
+    opposite sides of a snap threshold.
     """
     if pool is None:
         pool = VariablePool(graph, caps, params)

@@ -131,9 +131,11 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
     search's pool keeps the final node, edge and budget multipliers of its
     best solve, which is the incumbent, so a floored combination whose
     Lagrangian at them is below the floor is cut before its instance is
-    built.  The result is the same as solving every combination, with one
-    ``allocate`` call per combination.  Raises AllInfeasibleError when no
-    combination is feasible.
+    built, and every solve starts from them.  The result is the same as
+    solving every combination on its own (rounding snaps relaxed values
+    near an integer, so a warm start does not change the bits; see
+    ``allocate``), with one ``allocate`` call per combination.  Raises
+    AllInfeasibleError when no combination is feasible.
     """
     sizes = _space(requests)
     # Capped objectives (MF, MA) pass no floor, though the floor is exact
@@ -189,8 +191,9 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     a re-proposal whose bound is below a later floor is rejected without a
     call.  The search's pool keeps the multipliers of its best solve so far,
     initial draws included, and a later proposal whose Lagrangian at them
-    loses is cut before its instance is built.  The outcome is the same as
-    solving every proposal.  ``trace`` receives ``(iteration, proposal,
+    loses is cut before its instance is built; every solve starts from
+    them.  The outcome is the same as solving every proposal on its own,
+    as in ``exhaustive_select``.  ``trace`` receives ``(iteration, proposal,
     f_cur, f_new, accepted)`` per proposal, with ``f_new = None`` for a
     proposal rejected by its bound.
     """

@@ -30,12 +30,13 @@ Core claims:
     - capped or uncapped, the Lagrangian at any solved combination's node,
       edge and budget multipliers bounds every combination's relaxed
       optimum, and some capped incumbents' kept tables price the budget
-    - exhaustive OSCAR over the default config's first slots makes one
-      allocate call per combination, and cuts, couples and solves pinned
-      counts of them
+    - each policy's exhaustive search over the default config's first
+      slots makes one allocate call per combination, and cuts, couples and
+      solves pinned counts of them with a pinned count of Newton searches
     - each policy's Gibbs search over the default config's first slots
-      makes, cuts, couples and solves pinned counts of allocate calls, and
-      some capped searches keep tables that price the budget
+      makes, cuts, couples and solves pinned counts of allocate calls, with
+      a pinned count of Newton searches, and some capped searches keep
+      tables that price the budget
     - Gibbs and exhaustive slots of the default config's trial 0 match
       recorded digests bit for bit, also with builtin sum replaced by the
       compensated float sum of Python 3.12 and later, and so does every
@@ -51,7 +52,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -509,6 +510,11 @@ class TestBoundRejection:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans(),
            duplicate=st.booleans(), log_gamma=st.floats(-1.0, 1.5))
+    # Warm and cold solves that stop on either side of an integer, as in
+    # TestIncumbentFloor.
+    @example(seed=774611112, capped=False, free=True, duplicate=False, log_gamma=0.0)
+    @example(seed=3128322231, capped=True, free=True, duplicate=True, log_gamma=0.0)
+    @example(seed=3921144787, capped=False, free=True, duplicate=False, log_gamma=1.5)
     def test_same_result_capped_or_free(self, seed, capped, free, duplicate, log_gamma):
         # Capped at q = 0 is how MA and MF search: every box sits at its cap
         # at zero price, and only a kept budget multiplier prices it.
@@ -566,6 +572,11 @@ class TestIncumbentFloor:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans(),
            duplicate=st.booleans())
+    # Here the search's warm solve of the best combination stops just below
+    # an integer and the cold one just above it; rounding's snap floors both
+    # alike, and without it the search returns another allocation.
+    @example(seed=774611112, capped=False, free=True, duplicate=False)
+    @example(seed=207870618, capped=True, free=True, duplicate=False)
     def test_same_result_as_solving_every_combination(self, seed, capped, free, duplicate):
         g, caps, reqs, params = floor_instance(np.random.default_rng(seed), capped,
                                                free, duplicate)
@@ -655,7 +666,7 @@ class TestMultiplierTable:
 # the calls that find them on purpose.
 PINNED_GIBBS_SHA256 = "1cc65a3ef29950ff1c0aef3890fdbbe772b5269f7294589b0affa2c90d5c98be"
 PINNED_EXHAUSTIVE_SHA256 = "0b6acd8b7e27cfaf1b59bdb3238de53e4fd56b69b9c9bf283913cd634d4fd901"
-PINNED_CALLS_SHA256 = "e86250bb0c25ee12829ece4ed637f7d913cea15f9ef88a78c9f60ac5d34b074e"
+PINNED_CALLS_SHA256 = "91b2f202837ec41e48f2b647be3345c7a22b707e28e0ed0464d20d84df95a089"
 
 
 def _slots_digest(slots, enumeration_cap, policies=None):
@@ -718,51 +729,13 @@ def test_gibbs_calls_pinned(monkeypatch):
     assert h.hexdigest() == PINNED_CALLS_SHA256
 
 
-def test_exhaustive_work_pinned(monkeypatch):
-    # Exhaustive OSCAR over the first slots of the default config's trial 0:
-    # one allocate call per route combination (perfbench's traced check
-    # counts them), and how far the calls get: cut before their coupling
-    # constraints are built, coupled, and solved in full.
-    spaces, calls = [], []
-    work = {"cut before coupling": 0, "coupled": 0, "solved": 0}
-
-    def searching(graph, caps, requests, params):
-        spaces.append(math.prod(len(r.candidates) for r in requests))
-        calls.append(0)
-        return exhaustive_select(graph, caps, requests, params)
-
-    def counting(graph, caps, routes, params, floor=-math.inf, pool=None):
-        calls[-1] += 1
-        coupled = work["coupled"]
-        try:
-            result = allocate(graph, caps, routes, params, floor=floor, pool=pool)
-        except DominatedError:
-            work["cut before coupling"] += work["coupled"] == coupled
-            raise
-        work["solved"] += 1
-        return result
-
-    couple = allocation._Instance._couple
-
-    def coupling(self, caps, cost_cap):
-        work["coupled"] += 1
-        return couple(self, caps, cost_cap)
-
-    monkeypatch.setattr(selection, "exhaustive_select", searching)
-    monkeypatch.setattr(selection, "allocate", counting)
-    monkeypatch.setattr(allocation._Instance, "_couple", coupling)
-    _slots_digest(10, selection.DEFAULT_ENUMERATION_CAP, ("OSCAR",))
-    assert calls == spaces and sum(calls) == 1092
-    assert work == {"cut before coupling": 1030, "coupled": 62, "solved": 34}
-
-
-def test_gibbs_work_pinned(monkeypatch):
-    # Each policy's Gibbs slots of test_gibbs_slots_pinned: its allocate
-    # calls, and how far they get, as in test_exhaustive_work_pinned.  Every
-    # solve that beats its pool's best keeps a table, capped ones too, and
-    # some of those price the budget.
-    counts = {}
-    budget_tables = 0
+def _count_work(monkeypatch):
+    """Counters of the selectors' allocate calls, filled from outside: the
+    calls, how far they get (cut before their coupling constraints are
+    built, coupled, and solved in full), and the Newton searches of their
+    dual solves."""
+    counts = dict.fromkeys(("calls", "cut before coupling", "coupled", "solved",
+                            "searches"), 0)
 
     def counting(graph, caps, routes, params, floor=-math.inf, pool=None):
         counts["calls"] += 1
@@ -776,11 +749,64 @@ def test_gibbs_work_pinned(monkeypatch):
         return result
 
     couple = allocation._Instance._couple
+    meet_cap = allocation._Instance._meet_cap
 
     def coupling(self, caps, cost_cap):
         counts["coupled"] += 1
         return couple(self, caps, cost_cap)
 
+    def searching(self, *args):
+        counts["searches"] += 1
+        return meet_cap(self, *args)
+
+    monkeypatch.setattr(selection, "allocate", counting)
+    monkeypatch.setattr(allocation._Instance, "_couple", coupling)
+    monkeypatch.setattr(allocation._Instance, "_meet_cap", searching)
+    return counts
+
+
+def _policy_work(counts, slots, enumeration_cap):
+    """Each policy's counts over the first ``slots`` slots of the default
+    config's trial 0, at ``enumeration_cap``."""
+    work = {}
+    for policy in POLICIES:
+        counts.update(dict.fromkeys(counts, 0))
+        _slots_digest(slots, enumeration_cap, (policy,))
+        work[policy] = dict(counts)
+    return work
+
+
+def test_exhaustive_work_pinned(monkeypatch):
+    # Exhaustive search over the first slots of the default config's trial
+    # 0: one allocate call per route combination (perfbench's traced check
+    # counts them), how far the calls get, and the Newton searches of their
+    # dual solves, which start from the multipliers of the search's best
+    # solve so far.  OSCAR cuts at its incumbent; MA and MF pass no floor.
+    counts = _count_work(monkeypatch)
+
+    def enumerating(graph, caps, requests, params):
+        before = counts["calls"]
+        result = exhaustive_select(graph, caps, requests, params)
+        assert counts["calls"] - before == math.prod(len(r.candidates) for r in requests)
+        return result
+
+    monkeypatch.setattr(selection, "exhaustive_select", enumerating)
+    assert _policy_work(counts, 10, selection.DEFAULT_ENUMERATION_CAP) == {
+        "OSCAR": {"calls": 1092, "cut before coupling": 1030, "coupled": 62, "solved": 34,
+                  "searches": 240},
+        "MA": {"calls": 1092, "cut before coupling": 0, "coupled": 1092, "solved": 1092,
+               "searches": 9543},
+        "MF": {"calls": 1092, "cut before coupling": 0, "coupled": 1092, "solved": 1092,
+               "searches": 9543},
+    }
+
+
+def test_gibbs_work_pinned(monkeypatch):
+    # Each policy's Gibbs slots of test_gibbs_slots_pinned, counted as in
+    # test_exhaustive_work_pinned.  Every solve that beats its pool's best
+    # keeps a table, capped ones too, and some of those price the budget.
+    counts = _count_work(monkeypatch)
+    budget_tables = 0
     keep = VariablePool._keep_multipliers
 
     def keeping(self, inst):
@@ -788,17 +814,13 @@ def test_gibbs_work_pinned(monkeypatch):
         keep(self, inst)
         budget_tables += self._table is not None and (2, 0) in self._table[0]
 
-    monkeypatch.setattr(selection, "allocate", counting)
-    monkeypatch.setattr(allocation._Instance, "_couple", coupling)
     monkeypatch.setattr(VariablePool, "_keep_multipliers", keeping)
-    work = {}
-    for policy in POLICIES:
-        counts.update(dict.fromkeys(("calls", "cut before coupling", "coupled", "solved"), 0))
-        _slots_digest(20, 2, (policy,))
-        work[policy] = dict(counts)
-    assert work == {
-        "OSCAR": {"calls": 1757, "cut before coupling": 512, "coupled": 1245, "solved": 808},
-        "MA": {"calls": 900, "cut before coupling": 399, "coupled": 501, "solved": 365},
-        "MF": {"calls": 1050, "cut before coupling": 448, "coupled": 602, "solved": 415},
+    assert _policy_work(counts, 20, 2) == {
+        "OSCAR": {"calls": 1757, "cut before coupling": 512, "coupled": 1245, "solved": 808,
+                  "searches": 11572},
+        "MA": {"calls": 899, "cut before coupling": 399, "coupled": 500, "solved": 365,
+               "searches": 3403},
+        "MF": {"calls": 1043, "cut before coupling": 448, "coupled": 595, "solved": 415,
+               "searches": 4207},
     }
     assert budget_tables == 98
