@@ -13,8 +13,7 @@ Each coupling constraint is a site priced by one multiplier: a node
 ``(0, u)``, an edge ``(1, e)`` or the budget ``(2, 0)``.  A route search
 calls ``allocate`` for many combinations of the same few candidate routes.
 A ``VariablePool`` builds each route's block of per-variable arrays once
-per slot, and keeps the pricings from zero multipliers that recur across
-combinations.  Every instance joins its routes' blocks from a pool, which
+per slot.  Every instance joins its routes' blocks from a pool, which
 ``allocate`` builds for a call that passes none.
 
 The pool also keeps the node, edge and budget multipliers of its best
@@ -252,8 +251,7 @@ class VariablePool:
     every instance is assembled from its pool's blocks.  Blocks are keyed
     by route identity (the searches pass the requests' own candidate
     objects); each block holds its route, so no key is reused while the
-    pool lives.  ``pricings`` keeps results of ``_Instance._meet_cap`` from
-    zero multipliers.
+    pool lives.
 
     ``lagrangian_bound`` bounds the relaxed optimum of any combination from
     its blocks alone, by the Lagrangian at zero multipliers and, once a call
@@ -265,8 +263,8 @@ class VariablePool:
     that table, so the calls of a search warm-start each other.
     """
 
-    __slots__ = ("graph", "caps", "params", "_blocks", "pricings", "best",
-                 "_table", "_parts")
+    __slots__ = ("graph", "caps", "params", "_blocks", "best", "_table",
+                 "_parts")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
                  params: PerSlotObjectiveParams):
@@ -278,9 +276,6 @@ class VariablePool:
                              f"{graph.edge_count} edges")
         self.graph, self.caps, self.params = graph, caps, params
         self._blocks: dict[int, _Block] = {}
-        # (multiplier, members' trial values, members' trial slopes) by the
-        # constraint's cap and its members' keys and prices.
-        self.pricings: dict[tuple, tuple[float, list[float], list[float]]] = {}
         self.best = -math.inf
         # The bit and positive multiplier of each priced node (0, u), edge
         # (1, e) and budget (2, 0), and each one's multiplier times its
@@ -355,11 +350,10 @@ class _Instance(_Variables):
     With a ``floor``, capped or uncapped, an instance whose bound from the
     pool's ``lagrangian_bound`` lies below it raises DominatedError before
     the blocks are joined: a cut combination never builds its per-variable
-    arrays or its coupling constraints.  The pool also shares
-    ``_meet_cap``'s pricings from zero multipliers.
+    arrays or its coupling constraints.
     """
 
-    __slots__ = ("constraints", "sites", "nu", "floor", "pricings", "warm")
+    __slots__ = ("constraints", "sites", "nu", "floor", "warm")
 
     def __init__(self, routes: Sequence[Route], pool: VariablePool,
                  floor: float = -math.inf):
@@ -369,7 +363,6 @@ class _Instance(_Variables):
             if b.request_id == last:
                 raise ValueError("duplicate (request, edge) variable; one route per request")
             last = b.request_id
-        self.pricings = pool.pricings
         self.warm = pool._table[0] if pool._table is not None else {}
         self.V, self.q = pool.params.V, pool.params.q
         self.floor = floor
@@ -460,23 +453,8 @@ class _Instance(_Variables):
         ``old``, where ``x`` holds the members' values and, read only if
         ``old > 0``, ``slope`` their slopes.  When the returned multiplier
         differs from ``old``, ``trial_x`` and ``trial_slope`` hold the
-        members' values at it.  A search from a zero multiplier over a
-        constraint that leaves some variable out depends only on the cap
-        and the members' keys and prices, and recurs across a slot's route
-        combinations, so the pool keeps its result; one over every variable
-        recurs only with its combination.
+        members' values and slopes at it.
         """
-        key = None
-        if old == 0.0 and len(members) < len(self.keys):
-            keys = self.keys
-            key = (cap, *[keys[i] for i in members], *[theta[i] for i in members])
-            known = self.pricings.get(key)
-            if known is not None:
-                guess, xs, slopes = known
-                for i, xi, si in zip(members, xs, slopes):
-                    trial_x[i] = xi
-                    trial_slope[i] = si
-                return guess
         lo = 0.0
         hi_nu = -math.inf
         theta_one = self.theta_one
@@ -508,9 +486,6 @@ class _Instance(_Variables):
         else:
             if guess != old:  # the last guess was never evaluated
                 self._load(members, theta, guess - old, trial_x, trial_slope)
-        if key is not None:
-            self.pricings[key] = (guess, [trial_x[i] for i in members],
-                                  [trial_slope[i] for i in members])
         return guess
 
     def solve_relaxed(self) -> tuple[list[float], float]:

@@ -15,10 +15,10 @@ exactly the logistic probability.  ``allocate`` gets the threshold, lowered
 by a relative 1e-9, as its floor, and a combination whose certified bound
 lies below the floor is rejected without finishing its solve.  Each search
 builds one ``VariablePool`` and hands it to every allocator call, so a
-candidate route's variables are built, and a recurring constraint pricing
-is solved, once per search.  The pool keeps the multipliers of its best
-solve so far, so that most losing combinations are cut by a bound summed
-from their routes' blocks.
+candidate route's block is built once per search.  The pool keeps the
+multipliers of its best solve so far: every later solve starts from them,
+and most losing combinations are cut by a bound summed from their routes'
+blocks.
 """
 
 from __future__ import annotations

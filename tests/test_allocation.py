@@ -924,7 +924,7 @@ class TestSolveState:
         # cold solve starts with zero slopes, a warm one computes x and the
         # slopes at the kept multipliers, and each multiplier move rewrites
         # its members' x and slopes.  Fresh pools and one slot-wide pool,
-        # whose kept table and pricings carry across calls; no floor, then
+        # whose kept table carries across calls; no floor, then
         # the slot's best objective as an exhaustive search's incumbent.
         priced = []  # per search from a positive multiplier: any member sloped?
         warm_starts = []  # the same, for searches at the kept multiplier

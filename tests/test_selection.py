@@ -732,10 +732,11 @@ def test_gibbs_calls_pinned(monkeypatch):
 def _count_work(monkeypatch):
     """Counters of the selectors' allocate calls, filled from outside: the
     calls, how far they get (cut before their coupling constraints are
-    built, coupled, and solved in full), and the Newton searches of their
-    dual solves."""
+    built, coupled, and solved in full), the Newton searches of their
+    dual solves, and every load evaluation: block builds, Lagrangian parts,
+    warm starts, constraint loads and Newton trials."""
     counts = dict.fromkeys(("calls", "cut before coupling", "coupled", "solved",
-                            "searches"), 0)
+                            "searches", "loads"), 0)
 
     def counting(graph, caps, routes, params, floor=-math.inf, pool=None):
         counts["calls"] += 1
@@ -759,9 +760,16 @@ def _count_work(monkeypatch):
         counts["searches"] += 1
         return meet_cap(self, *args)
 
+    load = allocation._Variables._load
+
+    def loading(self, *args):
+        counts["loads"] += 1
+        return load(self, *args)
+
     monkeypatch.setattr(selection, "allocate", counting)
     monkeypatch.setattr(allocation._Instance, "_couple", coupling)
     monkeypatch.setattr(allocation._Instance, "_meet_cap", searching)
+    monkeypatch.setattr(allocation._Variables, "_load", loading)
     return counts
 
 
@@ -781,7 +789,8 @@ def test_exhaustive_work_pinned(monkeypatch):
     # 0: one allocate call per route combination (perfbench's traced check
     # counts them), how far the calls get, and the Newton searches of their
     # dual solves, which start from the multipliers of the search's best
-    # solve so far.  OSCAR cuts at its incumbent; MA and MF pass no floor.
+    # solve so far, and the load evaluations behind all of it.  OSCAR cuts
+    # at its incumbent; MA and MF pass no floor.
     counts = _count_work(monkeypatch)
 
     def enumerating(graph, caps, requests, params):
@@ -793,11 +802,11 @@ def test_exhaustive_work_pinned(monkeypatch):
     monkeypatch.setattr(selection, "exhaustive_select", enumerating)
     assert _policy_work(counts, 10, selection.DEFAULT_ENUMERATION_CAP) == {
         "OSCAR": {"calls": 1092, "cut before coupling": 1030, "coupled": 62, "solved": 34,
-                  "searches": 240},
+                  "searches": 240, "loads": 1450},
         "MA": {"calls": 1092, "cut before coupling": 0, "coupled": 1092, "solved": 1092,
-               "searches": 9543},
+               "searches": 9543, "loads": 41166},
         "MF": {"calls": 1092, "cut before coupling": 0, "coupled": 1092, "solved": 1092,
-               "searches": 9543},
+               "searches": 9543, "loads": 41166},
     }
 
 
@@ -817,10 +826,10 @@ def test_gibbs_work_pinned(monkeypatch):
     monkeypatch.setattr(VariablePool, "_keep_multipliers", keeping)
     assert _policy_work(counts, 20, 2) == {
         "OSCAR": {"calls": 1757, "cut before coupling": 512, "coupled": 1245, "solved": 808,
-                  "searches": 11572},
+                  "searches": 11572, "loads": 50750},
         "MA": {"calls": 899, "cut before coupling": 399, "coupled": 500, "solved": 365,
-               "searches": 3403},
+               "searches": 3403, "loads": 16098},
         "MF": {"calls": 1043, "cut before coupling": 448, "coupled": 595, "solved": 415,
-               "searches": 4207},
+               "searches": 4207, "loads": 19595},
     }
     assert budget_tables == 98
