@@ -26,11 +26,13 @@ A combination whose bound lies below the floor is cut before its blocks
 are joined; this is the one bound checked before the dual solve, whose
 sweeps then check their own.
 
-Each dual solve starts from the kept multipliers: a constraint whose site
-the table prices starts at its kept value, every other one at zero.  A
-warm solve stops by the same duality-gap rule as a cold one, so both end
-within that gap of the relaxed optimum, though not always at the same
-point.  Rounding counts a relaxed value within ``_SNAP_TOL`` below an
+Each dual solve starts from the pool's start: the positive final
+multipliers of the last solve that finished through the pool, whatever its
+objective.  A constraint whose site the start prices begins at that value,
+every other one at zero; a solve that is cut or raises leaves the start as
+it was.  A warm solve stops by the same duality-gap rule as a cold one, so
+both end within that gap of the relaxed optimum, though not always at the
+same point.  Rounding counts a relaxed value within ``_SNAP_TOL`` below an
 integer as that integer, so the two round alike unless the two values of
 some variable stop on opposite sides of such a threshold.
 """
@@ -259,12 +261,17 @@ class VariablePool:
     multipliers of the pool's best solve so far: by weak duality, the
     Lagrangian at any nonnegative multipliers bounds it, whichever
     combination they were solved for.  ``best`` is that solve's objective,
-    -inf before the first.  Every later solve through the pool starts from
-    that table, so the calls of a search warm-start each other.
+    -inf before the first.
+
+    The pool also keeps its start: the positive final multipliers of the
+    last solve that finished through it, best or not, empty before the
+    first.  Every solve through the pool starts there, so each call of a
+    search warm-starts from the last one solved in full, which in an
+    exhaustive search usually differs from it in one route.
     """
 
     __slots__ = ("graph", "caps", "params", "_blocks", "best", "_table",
-                 "_parts")
+                 "_parts", "_start")
 
     def __init__(self, graph: QdnGraph, caps: SlotCapacities,
                  params: PerSlotObjectiveParams):
@@ -283,6 +290,9 @@ class VariablePool:
         self._table: tuple[dict, list[float]] | None = None
         # Each block's (Lagrangian part, touched sites) at the table.
         self._parts: dict[int, tuple[float, int]] = {}
+        # The positive final multiplier of each priced site of the last
+        # solve that finished through the pool: where every solve starts.
+        self._start: dict[tuple[int, int], float] = {}
 
     def block(self, route: Route) -> _Block:
         found = self._blocks.get(id(route))
@@ -342,10 +352,11 @@ class _Instance(_Variables):
     request-id order.  Constraints couple them through the loads of nodes
     ``(0, u)``, edges ``(1, e)`` and the optional budget ``(2, 0)``, the
     sites that ``sites`` names; constraints that cannot bind under the
-    boxes are dropped.  ``warm`` is the pool's table when the instance was
-    built (empty without one): ``solve_relaxed`` starts each constraint
-    whose site it prices at the kept multiplier.  ``nu`` holds the
-    multipliers once ``solve_relaxed`` has run.
+    boxes are dropped.  ``warm`` is the pool's start when the instance was
+    built, a ``{site: multiplier}`` dict of the last finished solve's
+    positive multipliers (empty before the first): ``solve_relaxed`` starts
+    each constraint whose site it prices at that multiplier.  ``nu`` holds
+    the multipliers once ``solve_relaxed`` has run.
 
     With a ``floor``, capped or uncapped, an instance whose bound from the
     pool's ``lagrangian_bound`` lies below it raises DominatedError before
@@ -363,7 +374,7 @@ class _Instance(_Variables):
             if b.request_id == last:
                 raise ValueError("duplicate (request, edge) variable; one route per request")
             last = b.request_id
-        self.warm = pool._table[0] if pool._table is not None else {}
+        self.warm = pool._start
         self.V, self.q = pool.params.V, pool.params.q
         self.floor = floor
         if floor > -math.inf:
@@ -492,14 +503,16 @@ class _Instance(_Variables):
         """Maximize the relaxed objective by dual decomposition.
 
         One nonnegative multiplier per coupling constraint, starting at
-        ``warm``'s kept value for a site the table prices and at zero
-        otherwise; the Lagrangian separates into per-variable concave
-        problems with closed-form solutions.  The dual is minimized by
-        cyclic exact updates: each multiplier moves to where its
-        constraint's load meets its cap (or to zero when slack), via
-        safeguarded Newton steps on the monotone load curve.  Terminates
-        when the relative duality gap of the feasibility-projected primal
-        drops below ``_GAP_TOL``.  A sweep that moves no multiplier, or
+        ``warm``'s value for a site it prices and at zero otherwise; the
+        Lagrangian separates into per-variable concave problems with
+        closed-form solutions.  The dual is minimized by cyclic exact
+        updates: each multiplier moves to where its constraint's load meets
+        its cap (or to zero when slack at zero price), via safeguarded
+        Newton steps on the monotone load curve.  A priced constraint whose
+        load exceeds its cap by more than a relative 1e-9 searches at once:
+        its load at zero price is higher still, so it is not computed.
+        Terminates when the relative duality gap of the
+        feasibility-projected primal drops below ``_GAP_TOL``.  A sweep that moves no multiplier, or
         ``_MAX_MULTIPLIER_UPDATES`` updates, end the solve with the best
         projected point seen, or with NoConvergenceError when the last gap
         exceeds a relative 1e-3.
@@ -524,8 +537,8 @@ class _Instance(_Variables):
         nu = self.nu = [0.0] * len(self.constraints)
         warm = self.warm
         for ci, site in enumerate(self.sites):
-            if site in warm:  # start at the pool's kept multiplier
-                mu = nu[ci] = warm[site][1]
+            if site in warm:  # start at the last finished solve's multiplier
+                mu = nu[ci] = warm[site]
                 for i in self.constraints[ci][0]:
                     theta[i] += mu
         if any(nu):  # x and the slopes at the warm prices
@@ -541,13 +554,16 @@ class _Instance(_Variables):
             moved = False
             for ci, (members, cap) in enumerate(self.constraints):
                 old = nu[ci]
+                load = 0.0
+                for i in members:
+                    load += x[i]
                 if old == 0.0:
-                    load = 0.0
-                    for i in members:
-                        load += x[i]
                     if load <= cap:
                         continue  # slack and unpriced: nothing to update
-                else:
+                elif load <= cap + 1e-9 * cap:
+                    # Loads fall as prices rise, so a load further above the
+                    # cap is above it at zero price too: the multiplier must
+                    # rise.  The margin covers ulp-level non-monotonicity.
                     load, _ = self._load(members, theta, -old, trial_x, trial_slope)
                 updates += 1
                 new = 0.0 if load <= cap else self._meet_cap(
@@ -665,9 +681,11 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
     A ``pool`` built for the same graph, capacities and objective lets the
     calls of one route search share the routes' variable blocks.  A call
     whose objective beats every earlier one through the pool leaves its
-    final multipliers there; a later call whose bound at them is below
-    ``floor`` raises DominatedError with that bound, before its capacities
-    are checked, and otherwise starts its dual solve from them.  So a
+    final multipliers there as the table; a later call whose bound at them
+    is below ``floor`` raises DominatedError with that bound, before its
+    capacities are checked.  Every call whose dual solve finishes leaves
+    its positive final multipliers as the pool's start, and every later
+    call starts its dual solve there.  So a
     pooled call may be cut where an unpooled one is not, by a bound that is
     still at least the relaxed optimum, or, against a floor within the
     duality gap of that optimum, not cut where an unpooled one is.
@@ -682,6 +700,7 @@ def allocate(graph: QdnGraph, caps: SlotCapacities, routes: Sequence[Route],
         raise ValueError("pool was built for another graph, capacities or objective")
     inst = _Instance(routes, pool, floor)
     x, _ = inst.solve_relaxed()
+    pool._start = {site: mu for site, mu in zip(inst.sites, inst.nu) if mu > 0.0}
     counts = inst.round_down_and_fill(x)
     f = inst._value(counts, [inst.q] * len(counts))[0]
     if f > pool.best:

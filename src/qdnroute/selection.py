@@ -16,9 +16,10 @@ by a relative 1e-9, as its floor, and a combination whose certified bound
 lies below the floor is rejected without finishing its solve.  Each search
 builds one ``VariablePool`` and hands it to every allocator call, so a
 candidate route's block is built once per search.  The pool keeps the
-multipliers of its best solve so far: every later solve starts from them,
-and most losing combinations are cut by a bound summed from their routes'
-blocks.
+multipliers of its best solve so far, and most losing combinations are cut
+by a bound summed from their routes' blocks at them.  Every solve starts
+from the multipliers of the search's last solve that finished, best or
+not.
 """
 
 from __future__ import annotations
@@ -131,10 +132,12 @@ def exhaustive_select(graph: QdnGraph, caps: SlotCapacities,
     search's pool keeps the final node, edge and budget multipliers of its
     best solve, which is the incumbent, so a floored combination whose
     Lagrangian at them is below the floor is cut before its instance is
-    built, and every solve starts from them.  The result is the same as
-    solving every combination on its own (rounding snaps relaxed values
-    near an integer, so a warm start does not change the bits; see
-    ``allocate``), with one ``allocate`` call per combination.  Raises
+    built.  Every solve starts from the multipliers of the last solve that
+    finished, under MA and MF the previous combination's, which usually
+    differs in one route.  The result is the same as solving every
+    combination on its own (rounding snaps relaxed values near an integer,
+    so a warm start does not change the bits; see ``allocate``), with one
+    ``allocate`` call per combination.  Raises
     AllInfeasibleError when no combination is feasible.
     """
     sizes = _space(requests)
@@ -191,9 +194,10 @@ def gibbs_select(graph: QdnGraph, caps: SlotCapacities,
     a re-proposal whose bound is below a later floor is rejected without a
     call.  The search's pool keeps the multipliers of its best solve so far,
     initial draws included, and a later proposal whose Lagrangian at them
-    loses is cut before its instance is built; every solve starts from
-    them.  The outcome is the same as solving every proposal on its own,
-    as in ``exhaustive_select``.  ``trace`` receives ``(iteration, proposal,
+    loses is cut before its instance is built.  Every solve starts from the
+    multipliers of the last proposal or initial draw solved in full.  The
+    outcome is the same as solving every proposal on its own, as in
+    ``exhaustive_select``.  ``trace`` receives ``(iteration, proposal,
     f_cur, f_new, accepted)`` per proposal, with ``f_new = None`` for a
     proposal rejected by its bound.
     """

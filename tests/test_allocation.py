@@ -33,6 +33,13 @@ Core claims:
       a fresh evaluation at their current prices bit for bit, and from a
       positive multiplier so do their slopes, also at a multiplier that a
       warm start took from the pool's table
+    - a pooled solve starts from the positive final multipliers of the last
+      solve that finished through the pool, one that scored below the best
+      too; a call cut by its floor, in its dual solve or before the join,
+      and an infeasible call leave that start as it was
+    - whenever a sweep starts a Newton search from a positive multiplier,
+      its constraint is overloaded at zero price, cold or warm, capped or
+      uncapped, at q = 0 and q > 0
     - a solve warm-started from a kept or random nonnegative table ends
       within the gap tolerance of a cold solve's relaxed objective, capped
       or uncapped, at q = 0 and q > 0; any cut's bound is at least the
@@ -867,7 +874,8 @@ class TestVariablePool:
                     == _outcome(lambda: allocate(g, caps, routes, params)))
         assert straddled > 0
 
-    def test_keeps_the_multipliers_of_its_best_solve(self):
+    @staticmethod
+    def two_hops():
         # Over edges 0-1-2 under a budget of 2 channels, every solve prices
         # the budget; one hop with two channels beats two hops with one.
         g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))
@@ -875,6 +883,10 @@ class TestVariablePool:
         params = PerSlotObjectiveParams(V=1.0, cost_cap=2)
         long = Route.from_nodes(g, [0, 1, 2], request_id=0)
         short = Route.from_nodes(g, [0, 1], request_id=0)
+        return g, caps, params, long, short
+
+    def test_keeps_the_multipliers_of_its_best_solve(self):
+        g, caps, params, long, short = self.two_hops()
         pool = VariablePool(g, caps, params)
         assert (pool.best, pool._table) == (-math.inf, None)
         # A fresh pool's first feasible solve keeps its multipliers.
@@ -889,6 +901,43 @@ class TestVariablePool:
         kept = pool._table
         assert allocate(g, caps, [long], params, pool=pool)[1] == f_long
         assert pool.best == f_short and pool._table is kept
+
+    def test_solves_start_from_the_last_finished_solve(self, monkeypatch):
+        # The long route's solve finishes after the short one's and scores
+        # below it: the next solve starts from its multipliers, not from the
+        # best solve's table.  A call cut by its floor, inside the dual
+        # solve or before the join, and an infeasible call leave the start.
+        g, caps, params, long, short = self.two_hops()
+        finished = []
+        solve = _Instance.solve_relaxed
+
+        def recording(inst):
+            result = solve(inst)
+            finished.append({site: mu for site, mu in zip(inst.sites, inst.nu) if mu > 0.0})
+            return result
+
+        monkeypatch.setattr(_Instance, "solve_relaxed", recording)
+        pool = VariablePool(g, caps, params)
+        assert _Instance([short], pool).warm == {}
+        f_short = allocate(g, caps, [short], params, pool=pool)[1]
+        f_long = allocate(g, caps, [long], params, pool=pool)[1]
+        assert f_long < f_short == pool.best
+        start = _Instance([short], pool).warm
+        assert start == finished[-1] and set(start) == {(2, 0)}
+        assert start != finished[0] == start_of(pool._table)
+
+        bound = pool.lagrangian_bound([pool.block(long)])
+        for floor in (0.5 * (f_long + bound), bound + 1.0):
+            with pytest.raises(DominatedError) as info:
+                allocate(g, caps, [long], params, floor=floor, pool=pool)
+            # The first floor lets the instance be built and its sweep cuts.
+            assert (info.value.bound < bound) == (floor < bound)
+            assert pool._start is start
+        other = Route.from_nodes(g, [1, 2], request_id=1)
+        with pytest.raises(InfeasibleSelectionError):
+            allocate(g, caps, [long, other], params, pool=pool)
+        assert _Instance([short], pool).warm is start
+        assert len(finished) == 2
 
     def test_mismatched_pool_and_shared_request_rejected(self):
         g = QdnGraph((20, 20, 20), (EdgeSpec(0, 1, 10, 0.5, 1), EdgeSpec(1, 2, 10, 0.5, 1)))
@@ -922,12 +971,12 @@ class TestSolveState:
         # Every search sees its members' x at their current prices and, when
         # it starts from a positive multiplier, their slopes there too: a
         # cold solve starts with zero slopes, a warm one computes x and the
-        # slopes at the kept multipliers, and each multiplier move rewrites
-        # its members' x and slopes.  Fresh pools and one slot-wide pool,
-        # whose kept table carries across calls; no floor, then
+        # slopes at its start's multipliers, and each multiplier move
+        # rewrites its members' x and slopes.  Fresh pools and one slot-wide
+        # pool, whose start and kept table carry across calls; no floor, then
         # the slot's best objective as an exhaustive search's incumbent.
         priced = []  # per search from a positive multiplier: any member sloped?
-        warm_starts = []  # the same, for searches at the kept multiplier
+        warm_starts = []  # the same, for searches at the start's multiplier
         meet_cap = _Instance._meet_cap
 
         def checked(inst, members, cap, theta, old, x, slope, *trial):
@@ -940,7 +989,7 @@ class TestSolveState:
                 priced.append(any(want_slope[i] for i in members))
                 site = next(site for site, (m, _) in zip(inst.sites, inst.constraints)
                             if m is members)
-                if site in inst.warm and inst.warm[site][1] == old:
+                if inst.warm.get(site) == old:
                     warm_starts.append(priced[-1])
             return meet_cap(inst, members, cap, theta, old, x, slope, *trial)
 
@@ -979,14 +1028,20 @@ def random_table(rng, g, caps, params):
     return (table, weights) if table else None
 
 
+def start_of(table):
+    """The start of a pool whose last finished solve ended at the
+    multipliers of ``table``."""
+    return {site: mu for site, (_, mu) in table[0].items()} if table else {}
+
+
 class TestWarmStart:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans(),
            kept=st.booleans(),
            rel=st.floats(-1e-5, 1e-5) | st.floats(-0.5, 0.5) | st.floats(-50.0, 50.0))
     def test_within_gap_of_cold_and_same_cut(self, seed, capped, free, kept, rel):
-        # A solve started from a table, the one a pool keeps after solving
-        # some of the routes or a random one, against a cold solve.
+        # A solve started from the multipliers a pool keeps after solving
+        # some of the routes, or from a random table, against a cold solve.
         rng = np.random.default_rng(seed)
         g, caps, routes, params = random_allocation_instance(rng, with_cost_cap=capped)
         if free:
@@ -1001,6 +1056,7 @@ class TestWarmStart:
                      pool=pool)
         else:
             pool._table = random_table(rng, g, caps, params)
+            pool._start = start_of(pool._table)
         warm = _Instance(routes, pool).solve_relaxed()[1]
         # Both stop at a relative duality gap of _GAP_TOL below one relaxed
         # optimum, so they agree within it.
@@ -1021,6 +1077,63 @@ class TestWarmStart:
                 cuts.append(False)
         if not top - _margin(top) <= floor <= top + 2.0 * band:
             assert cuts[0] == cuts[1] == (floor > top)
+
+
+def zero_price_overloads(seed, capped, free, warm):
+    """One relaxed solve of a random instance, cold or from a random table,
+    with ``_Instance._meet_cap`` wrapped: how many searches from a positive
+    multiplier skipped the zero-price load (their load exceeds the cap by
+    more than a relative 1e-9), and how many find the members' load at
+    zero price within the cap (the first such search ends the solve)."""
+    rng = np.random.default_rng(seed)
+    g, caps, routes, params = random_allocation_instance(rng, with_cost_cap=capped)
+    if free:
+        params = replace(params, q=0.0)
+    pool = VariablePool(g, caps, params)
+    if warm:
+        pool._start = start_of(random_table(rng, g, caps, params))
+    skips = within = 0
+    meet_cap = _Instance._meet_cap
+
+    def checked(inst, members, cap, theta, old, x, *rest):
+        nonlocal skips, within
+        if old > 0.0:
+            skips += sum([x[i] for i in members]) > cap + 1e-9 * cap
+            n = len(theta)
+            if inst._load(members, theta, -old, [0.0] * n, [0.0] * n)[0] <= cap:
+                within += 1
+                raise StopIteration
+        return meet_cap(inst, members, cap, theta, old, x, *rest)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Instance, "_meet_cap", checked)
+        try:
+            _Instance(routes, pool).solve_relaxed()
+        except (NoConvergenceError, StopIteration):
+            pass
+    return skips, within
+
+
+class TestZeroPriceSkip:
+    # A sweep that finds a priced load above its cap goes straight to the
+    # Newton search, without the load at zero price: that load is at least
+    # as high, so it would not have sent the multiplier to zero.
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capped=st.booleans(), free=st.booleans(),
+           warm=st.booleans())
+    def test_every_search_from_a_price_has_an_overloaded_zero_price_load(
+            self, seed, capped, free, warm):
+        assert zero_price_overloads(seed, capped, free, warm)[1] == 0
+
+    def test_skips_are_common(self):
+        # The property is not vacuous: fixed draws skip many zero-price
+        # loads, cold and warm.
+        for warm in (False, True):
+            cases = [(seed, capped, free, warm) for seed in range(20)
+                     for capped, free in product((False, True), repeat=2)]
+            counts = [zero_price_overloads(*case) for case in cases]
+            assert sum(skips for skips, _ in counts) >= 50
+            assert sum(within for _, within in counts) == 0
 
 
 class TestBlockParts:

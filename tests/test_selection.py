@@ -666,7 +666,7 @@ class TestMultiplierTable:
 # the calls that find them on purpose.
 PINNED_GIBBS_SHA256 = "1cc65a3ef29950ff1c0aef3890fdbbe772b5269f7294589b0affa2c90d5c98be"
 PINNED_EXHAUSTIVE_SHA256 = "0b6acd8b7e27cfaf1b59bdb3238de53e4fd56b69b9c9bf283913cd634d4fd901"
-PINNED_CALLS_SHA256 = "91b2f202837ec41e48f2b647be3345c7a22b707e28e0ed0464d20d84df95a089"
+PINNED_CALLS_SHA256 = "4b51cef07600c7991b365e3961b2ecfcdc7cffac6517cf229b3068947c3100e2"
 
 
 def _slots_digest(slots, enumeration_cap, policies=None):
@@ -734,7 +734,8 @@ def _count_work(monkeypatch):
     calls, how far they get (cut before their coupling constraints are
     built, coupled, and solved in full), the Newton searches of their
     dual solves, and every load evaluation: block builds, Lagrangian parts,
-    warm starts, constraint loads and Newton trials."""
+    warm starts, zero-price constraint loads (a sweep skips one where the
+    multiplier must rise) and Newton trials."""
     counts = dict.fromkeys(("calls", "cut before coupling", "coupled", "solved",
                             "searches", "loads"), 0)
 
@@ -788,9 +789,10 @@ def test_exhaustive_work_pinned(monkeypatch):
     # Exhaustive search over the first slots of the default config's trial
     # 0: one allocate call per route combination (perfbench's traced check
     # counts them), how far the calls get, and the Newton searches of their
-    # dual solves, which start from the multipliers of the search's best
-    # solve so far, and the load evaluations behind all of it.  OSCAR cuts
-    # at its incumbent; MA and MF pass no floor.
+    # dual solves, each of which starts from the multipliers of the search's
+    # last finished solve (on MA and MF, the previous combination's), and
+    # the load evaluations behind all of it.  OSCAR cuts at its incumbent;
+    # MA and MF pass no floor.
     counts = _count_work(monkeypatch)
 
     def enumerating(graph, caps, requests, params):
@@ -802,11 +804,11 @@ def test_exhaustive_work_pinned(monkeypatch):
     monkeypatch.setattr(selection, "exhaustive_select", enumerating)
     assert _policy_work(counts, 10, selection.DEFAULT_ENUMERATION_CAP) == {
         "OSCAR": {"calls": 1092, "cut before coupling": 1030, "coupled": 62, "solved": 34,
-                  "searches": 240, "loads": 1450},
+                  "searches": 243, "loads": 1358},
         "MA": {"calls": 1092, "cut before coupling": 0, "coupled": 1092, "solved": 1092,
-               "searches": 9543, "loads": 41166},
+               "searches": 6983, "loads": 22883},
         "MF": {"calls": 1092, "cut before coupling": 0, "coupled": 1092, "solved": 1092,
-               "searches": 9543, "loads": 41166},
+               "searches": 6983, "loads": 22883},
     }
 
 
@@ -825,11 +827,11 @@ def test_gibbs_work_pinned(monkeypatch):
 
     monkeypatch.setattr(VariablePool, "_keep_multipliers", keeping)
     assert _policy_work(counts, 20, 2) == {
-        "OSCAR": {"calls": 1757, "cut before coupling": 512, "coupled": 1245, "solved": 808,
-                  "searches": 11572, "loads": 50750},
-        "MA": {"calls": 899, "cut before coupling": 399, "coupled": 500, "solved": 365,
-               "searches": 3403, "loads": 16098},
-        "MF": {"calls": 1043, "cut before coupling": 448, "coupled": 595, "solved": 415,
-               "searches": 4207, "loads": 19595},
+        "OSCAR": {"calls": 1750, "cut before coupling": 512, "coupled": 1238, "solved": 808,
+                  "searches": 9758, "loads": 34871},
+        "MA": {"calls": 894, "cut before coupling": 399, "coupled": 495, "solved": 365,
+               "searches": 2954, "loads": 11573},
+        "MF": {"calls": 1040, "cut before coupling": 448, "coupled": 592, "solved": 415,
+               "searches": 3534, "loads": 13571},
     }
     assert budget_tables == 98
